@@ -84,8 +84,8 @@ BENCHMARK(BM_QuadraticPlacement)->Arg(1000)->Arg(5000);
 // GEMM at the conv-as-GEMM shapes of the agent's 16x16 grid: M = out_c,
 // K = in_c * 3 * 3, N = h * w.  The naive reference kernel vs the blocked /
 // SIMD default (bit-identical outputs; see nn/kernels.hpp) — the artifact
-// ratio real_ns(naive) / real_ns(blocked) is the speedup the infer work
-// claims (acceptance: >= 2x single-thread).
+// ratio real_ns(naive) / real_ns(blocked) is the blocked kernels' speedup
+// (acceptance: >= 2x single-thread).
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<float> out(n);
@@ -196,9 +196,9 @@ void BM_AgentForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentForward)->Args({24, 2})->Args({32, 3})->Args({128, 10});
 
-// Batched agent forward (rl::AgentNetwork::forward_many, the inference
-// engine's execution path): one im2col + one wide GEMM per layer for the
-// whole batch, per-sample bit-identical to BM_AgentForward's path.  Compare
+// Batched agent forward (rl::AgentNetwork::forward_many, the future batched
+// MCTS leaf path): one im2col + one wide GEMM per layer for the whole
+// batch, per-sample bit-identical to BM_AgentForward's path.  Compare
 // real_ns at batch 8 vs 8x the batch-1 time for the batching payoff.
 void BM_AgentForwardMany(benchmark::State& state) {
   rl::AgentConfig config;

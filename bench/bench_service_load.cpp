@@ -9,13 +9,7 @@
 //
 //   ./bench_service_load [--workers N] [--clients N] [--jobs N]
 //                        [--preset sa|mcts|rl|wiremask|analytic]
-//                        [--threads N] [--infer]
-//                        [--router [--backends N]]
-//
-// --infer shares one batched inference engine across the workers
-// (docs/INFERENCE.md); its infer.* series (requests, batches, coalesced,
-// batch_size quantiles) land in the same registry snapshot — and so in the
-// artifact — next to the latency histograms.
+//                        [--threads N] [--router [--backends N]]
 //
 // Writes BENCH_service_load.json (bench/artifact.hpp schema) into
 // $MP_BENCH_DIR (default cwd).
@@ -231,7 +225,6 @@ int run_fleet(int backends_n, int workers, int clients, int jobs_per_client,
 int main(int argc, char** argv) {
   bench::init_threads(argc, argv);
   int workers = 4, clients = 8, jobs_per_client = 1;
-  bool infer = false;
   bool router_mode = false;
   int fleet_backends = 3;
   place::Preset preset = place::Preset::kSa;
@@ -249,8 +242,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       ++i;  // consumed by init_threads
-    } else if (std::strcmp(argv[i], "--infer") == 0) {
-      infer = true;
     } else if (std::strcmp(argv[i], "--router") == 0) {
       router_mode = true;
     } else if (std::strcmp(argv[i], "--backends") == 0 && i + 1 < argc) {
@@ -272,13 +263,12 @@ int main(int argc, char** argv) {
   // latency under queueing, not rejection behavior.
   options.max_queued = total_jobs + 8;
   options.stream_progress = false;
-  options.infer = infer ? 1 : 0;
   svc::LocalService service(options);
 
   std::printf("service load: %d workers, %d clients x %d jobs, preset %s, "
-              "%d pool threads, infer %s\n",
+              "%d pool threads\n",
               workers, clients, jobs_per_client, place::preset_name(preset),
-              par::num_threads(), infer ? "on" : "off");
+              par::num_threads());
 
   util::Timer wall;
   std::vector<std::thread> client_threads;
@@ -318,17 +308,14 @@ int main(int argc, char** argv) {
   std::printf("\n%-22s %8s %10s %10s %10s %10s %10s\n", "latency_s", "count",
               "mean", "p50", "p90", "p95", "p99");
   bench::BenchArtifact artifact;
-  // Separate artifact per mode so the engine-on run doesn't overwrite the
-  // baseline series in results/.
-  artifact.name = infer ? "service_load_infer" : "service_load";
+  artifact.name = "service_load";
   for (const auto& [name, h] : snap.histograms) {
     print_histogram_row(name, h);
     artifact.set_quantiles_from(name, h);
     artifact.metrics[name + ".mean"] = h.mean();
     artifact.metrics[name + ".count"] = static_cast<double>(h.count);
   }
-  // Counters and gauges too: with --infer this is where infer.requests /
-  // infer.batches / infer.coalesced / infer.snapshots land.
+  // Counters and gauges too (svc.jobs.*, svc.queue_depth, ...).
   for (const auto& [name, value] : snap.counters) {
     artifact.metrics[name] = static_cast<double>(value);
   }
@@ -338,7 +325,6 @@ int main(int argc, char** argv) {
   std::printf("\n%d/%d jobs done, %.2fs wall, %.2f jobs/s\n", done, total_jobs,
               wall_s, throughput);
 
-  artifact.config["infer"] = infer ? 1.0 : 0.0;
   artifact.config["workers"] = static_cast<double>(workers);
   artifact.config["clients"] = static_cast<double>(clients);
   artifact.config["jobs_per_client"] = static_cast<double>(jobs_per_client);

@@ -1,7 +1,7 @@
 // Fleet coordinator daemon (docs/DISTRIBUTED.md):
 //
-//   ./mp_route --listen tcp:0.0.0.0:7400 \
-//              --backends tcp:hostA:7411,tcp:hostB:7411,tcp:hostC:7411 \
+//   ./mp_route --listen tcp:0.0.0.0:7400
+//              --backends tcp:hostA:7411,tcp:hostB:7411,tcp:hostC:7411
 //              [--vnodes N] [--backlog N] [--health-period S]
 //
 // Speaks the same NDJSON protocol as mp_serve, so mp_submit pointed at the

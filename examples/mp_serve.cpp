@@ -1,7 +1,7 @@
 // Long-lived placement service daemon:
 //
 //   ./mp_serve --socket /tmp/mp.sock [--max-queued N] [--threads N]
-//             [--workers N] [--backlog N] [--infer [0|1]]
+//             [--workers N] [--backlog N]
 //   ./mp_serve --listen tcp:0.0.0.0:7411 --peers tcp:hostB:7411,tcp:hostC:7411
 //
 // Speaks newline-delimited JSON over a Unix domain socket or TCP (protocol
@@ -9,10 +9,7 @@
 // work with mp_submit, or front a fleet of these with mp_route —
 // docs/DISTRIBUTED.md).  --peers lists the OTHER backends' endpoints; on a
 // cache miss this backend then fetches warm artifacts from them instead of
-// rebuilding.  --infer shares one batched inference engine across all jobs'
-// MCTS searches (docs/INFERENCE.md; default follows the MP_INFER env var,
-// and MP_INFER_BATCH / MP_INFER_WAIT_US / MP_INFER_THREADS tune the engine).
-// SIGTERM/SIGINT drain gracefully: the socket stops accepting,
+// rebuilding.  SIGTERM/SIGINT drain gracefully: the socket stops accepting,
 // the running job and the queued backlog complete, then the process exits 0.
 
 #include <csignal>
@@ -40,7 +37,7 @@ void on_signal(int) {
 int usage() {
   std::fprintf(stderr,
                "usage: mp_serve (--socket PATH | --listen URI) [--max-queued "
-               "N] [--threads N] [--workers N] [--backlog N] [--infer [0|1]] "
+               "N] [--threads N] [--workers N] [--backlog N] "
                "[--peers URI,URI,...]\n");
   return 2;
 }
@@ -78,12 +75,6 @@ int main(int argc, char** argv) {
       options.workers = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--backlog") == 0 && i + 1 < argc) {
       server_options.backlog = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--infer") == 0) {
-      // Bare --infer enables; --infer 0/1 sets explicitly.
-      options.infer = (i + 1 < argc && (std::strcmp(argv[i + 1], "0") == 0 ||
-                                        std::strcmp(argv[i + 1], "1") == 0))
-                          ? std::atoi(argv[++i])
-                          : 1;
     } else if (std::strcmp(argv[i], "--peers") == 0 && i + 1 < argc) {
       peers_csv = argv[++i];
     } else {

@@ -20,9 +20,9 @@
 #      caches — then SIGTERMs the daemon and verifies a clean drain (all
 #      jobs done, exit 0, socket unlinked) — see docs/SERVICE.md.
 #   4. A ThreadSanitizer build (its own tree — TSan cannot be combined with
-#      ASan) running the `par`-, `svc`-, `obs`-, `net`-, `infer`- and
-#      `eco`-labelled suites (ctest -L
-#      "par|svc|obs|net|infer|eco") at MP_THREADS=4 MP_WORKERS=4: the thread pool, the
+#      ASan) running the `par`-, `svc`-, `obs`-, `net`- and `eco`-labelled
+#      suites (ctest -L "par|svc|obs|net|eco") at MP_THREADS=4
+#      MP_WORKERS=4: the thread pool, the golden placement table, the
 #      lock-free obs metrics, every parallelized hot path
 #      (docs/PARALLELISM.md), and the concurrent placement service — four
 #      workers chewing through mixed-preset jobs with mid-run cancels,
@@ -45,7 +45,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${ROOT}"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-TSAN_MODE=par   # par = `ctest -L "par|svc|obs"` under TSan (default); full; off
+TSAN_MODE=par   # par = `ctest -L "par|svc|obs|net|eco"` under TSan (default); full; off
 FRESH=0
 for arg in "$@"; do
   case "${arg}" in
@@ -60,7 +60,7 @@ for arg in "$@"; do
       echo "build + full ctest, mp_serve smoke, TSan leg, bench-artifact"
       echo "schema validation, clang-tidy (when installed)."
       echo
-      echo "  --tsan     run the FULL suite under TSan (default: par|svc|obs)"
+      echo "  --tsan     run the FULL suite under TSan (default: par|svc|obs|net|eco)"
       echo "  --no-tsan  skip the TSan leg"
       echo "  --fresh    reconfigure the build-check/ trees from scratch"
       exit 0
@@ -291,7 +291,7 @@ case "${TSAN_MODE}" in
   # mixed-preset jobs and cancels two mid-run) with several threads even on
   # small CI machines.
   par)  MP_THREADS="${MP_THREADS:-4}" MP_WORKERS="${MP_WORKERS:-4}" \
-          run_sanitized tsan "thread" "par|svc|obs|net|infer|eco" ;;
+          run_sanitized tsan "thread" "par|svc|obs|net|eco" ;;
   full) MP_THREADS="${MP_THREADS:-4}" MP_WORKERS="${MP_WORKERS:-4}" \
           run_sanitized tsan "thread" ;;
   off)  note "tsan: skipped (--no-tsan)" ;;

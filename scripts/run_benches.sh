@@ -39,8 +39,8 @@ for b in bench_fig4_reward bench_fig5_mcts_vs_rl bench_table2_industrial \
     | tee "$out/$b.txt"
 done
 # Micro kernels, including the blocked/SIMD vs naive GEMM pair and the
-# batched im2col / forward_many series the shared inference engine rides on
-# (docs/INFERENCE.md; acceptance: GemmBlocked >= 2x GemmNaive single-thread).
+# batched im2col / forward_many series (docs/PARALLELISM.md "Kernel
+# determinism"; acceptance: GemmBlocked >= 2x GemmNaive single-thread).
 echo "=== bench_micro_kernels ==="
 "$build/bench/bench_micro_kernels" --benchmark_min_time=0.1s \
   | tee "$out/bench_micro_kernels.txt" \
@@ -50,15 +50,6 @@ echo "=== bench_service_load ==="
 "$build/bench/bench_service_load" --workers "${SVC_WORKERS:-4}" \
   --clients "${SVC_CLIENTS:-16}" ${thread_args[@]+"${thread_args[@]}"} \
   | tee "$out/bench_service_load.txt"
-
-# Shared-inference variant: MCTS jobs on a shared batched engine; the
-# infer.* coalescing series land in BENCH_service_load_infer.json
-# (docs/INFERENCE.md).
-echo "=== bench_service_load --infer ==="
-"$build/bench/bench_service_load" --infer --preset mcts \
-  --workers "${SVC_WORKERS:-4}" --clients "${SVC_CLIENTS:-16}" \
-  ${thread_args[@]+"${thread_args[@]}"} \
-  | tee "$out/bench_service_load_infer.txt"
 
 # Fleet variant: same load through an in-process mp_route + TCP backends
 # (docs/DISTRIBUTED.md); writes BENCH_service_fleet.json.

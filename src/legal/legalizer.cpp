@@ -259,6 +259,17 @@ MacroLegalizeResult legalize_flat(Design& design,
   MacroLegalizeResult result;
   const geometry::Rect region = design.region();
   const std::vector<NodeId> movable = design.movable_macros();
+  // A macro past the boundary that overlaps nothing (e.g. a translated ECO
+  // group) is in no component and never triggers the shove, so fit it back
+  // into the region first.  In-region macros are not touched.
+  for (NodeId id : movable) {
+    netlist::Node& node = design.node(id);
+    if (region.contains(node.rect())) continue;
+    node.position.x = geometry::fit_interval(node.position.x, node.width,
+                                             region.left(), region.right());
+    node.position.y = geometry::fit_interval(node.position.y, node.height,
+                                             region.bottom(), region.top());
+  }
   result.overlap_before = design.macro_overlap_area();
   for (int round = 0; round < options.component_rounds; ++round) {
     const int processed = resolve_components(design, movable, region, {}, options);

@@ -52,9 +52,11 @@ MacroLegalizeResult legalize_groups(netlist::Design& original,
                                     const std::vector<grid::CellCoord>& group_anchors,
                                     const MacroLegalizeOptions& options = {});
 
-/// Flat legalization for baselines that place macros directly (SA, wiremask):
-/// overlap components are resolved with the LP inside the whole region, then
-/// a shove pass guarantees legality.  Fixed macros are respected.
+/// Flat legalization for baselines that place macros directly (SA, wiremask)
+/// and for regulate's nudged groups: movable macros outside the region are
+/// fitted back into it, overlap components are resolved with the LP inside
+/// the whole region, then a shove pass guarantees legality.  Fixed macros
+/// are respected.
 MacroLegalizeResult legalize_flat(netlist::Design& design,
                                   const MacroLegalizeOptions& options = {});
 

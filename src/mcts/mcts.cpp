@@ -7,12 +7,24 @@
 
 #include "check/check.hpp"
 #include "check/validators.hpp"
-#include "infer/engine.hpp"
 #include "obs/obs.hpp"
 #include "par/par.hpp"
 #include "util/log.hpp"
 
 namespace mp::mcts {
+
+namespace {
+
+// Value-network forward (inference mode) for `env`'s current state.
+rl::AgentOutput net_forward(const rl::PlacementEnv& env,
+                            rl::AgentNetwork& agent) {
+  const std::vector<double> sp = env.placement_state();
+  const std::vector<double> availability = env.availability();
+  return agent.forward(sp, availability, env.current_step(), env.num_steps(),
+                       /*train=*/false);
+}
+
+}  // namespace
 
 MctsPlacer::MctsPlacer(rl::PlacementEnv& env, rl::AllocationEvaluator& evaluator,
                        rl::AgentNetwork& agent, rl::RewardFn reward,
@@ -27,32 +39,6 @@ MctsPlacer::MctsPlacer(rl::PlacementEnv& env, rl::AllocationEvaluator& evaluator
   // keeps the serial path unless a caller opts in.
   if (options_.eval_batch <= 0) options_.eval_batch = par::num_threads();
   nodes_.push_back(Node{});  // root
-  if (options_.infer_engine != nullptr) {
-    snapshot_ = options_.infer_engine->acquire(agent_);
-    have_snapshot_ = true;
-  }
-}
-
-MctsPlacer::~MctsPlacer() {
-  if (have_snapshot_) options_.infer_engine->release(snapshot_);
-}
-
-rl::AgentOutput MctsPlacer::net_forward(const rl::PlacementEnv& env,
-                                        rl::AgentNetwork& agent) {
-  const std::vector<double> sp = env.placement_state();
-  const std::vector<double> availability = env.availability();
-  if (options_.infer_engine != nullptr && have_snapshot_) {
-    std::vector<rl::NetInput> batch(1);
-    batch[0].sp = sp;
-    batch[0].availability = availability;
-    batch[0].t = env.current_step();
-    batch[0].total_steps = env.num_steps();
-    std::vector<rl::AgentOutput> outs =
-        options_.infer_engine->forward(snapshot_, std::move(batch));
-    return std::move(outs[0]);
-  }
-  return agent.forward(sp, availability, env.current_step(), env.num_steps(),
-                       /*train=*/false);
 }
 
 bool MctsPlacer::replay(const std::vector<int>& actions) {
@@ -266,44 +252,9 @@ void MctsPlacer::explore() {
 void MctsPlacer::ensure_contexts(int batch) {
   while (static_cast<int>(contexts_.size()) < batch) {
     WorkerContext ctx;
-    // Engine mode never touches per-slot agents — every forward goes
-    // through the shared snapshot — so skip the parameter copies.
-    if (options_.infer_engine == nullptr) ctx.agent = agent_.clone();
+    ctx.agent = agent_.clone();
     ctx.evaluator = evaluator_.clone();
     contexts_.push_back(std::move(ctx));
-  }
-}
-
-void MctsPlacer::engine_fill_outputs(std::vector<PendingLeaf>& leaves) {
-  if (options_.infer_engine == nullptr || !have_snapshot_) return;
-  std::vector<std::size_t> idx;
-  std::vector<rl::NetInput> inputs;
-  for (std::size_t k = 0; k < leaves.size(); ++k) {
-    const PendingLeaf& leaf = leaves[k];
-    if (!leaf.valid || leaf.cached_terminal || leaf.terminal ||
-        !leaf.env.has_value()) {
-      continue;
-    }
-    rl::NetInput in;
-    in.sp = leaf.env->placement_state();
-    in.availability = leaf.env->availability();
-    in.t = leaf.env->current_step();
-    in.total_steps = leaf.env->num_steps();
-    inputs.push_back(std::move(in));
-    idx.push_back(k);
-  }
-  if (inputs.empty()) return;
-  // One coalescible request for the whole batch; the engine may merge it
-  // with concurrent jobs' requests, which cannot change any per-sample
-  // result (forward_many is per-sample bit-identical to forward).
-  std::vector<rl::AgentOutput> outs =
-      options_.infer_engine->forward(snapshot_, std::move(inputs));
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    PendingLeaf& leaf = leaves[idx[i]];
-    leaf.out = std::move(outs[i]);
-    leaf.have_out = true;
-    leaf.legal = leaf.env->legal_actions();
-    leaf.value = static_cast<double>(leaf.out.value);
   }
 }
 
@@ -353,64 +304,11 @@ void MctsPlacer::run_batch(int batch) {
   }
 
   // --- Phase 2: leaf evaluation, concurrent when resources allow. --------
-  // Engine mode first folds every network forward of the batch into ONE
-  // coalescible engine request, then routes terminal / partial evaluations
-  // through the evaluator's batched entry points; only rollout completion
-  // still needs the per-slot loop below (with the forward already done).
-  // Per-leaf results are bit-identical to the engine-off path.
-  const bool engine_mode = options_.infer_engine != nullptr && have_snapshot_;
-  if (engine_mode) {
-    engine_fill_outputs(leaves);
-    std::vector<std::size_t> term;
-    std::vector<std::vector<grid::CellCoord>> term_sets;
-    for (std::size_t k = 0; k < leaves.size(); ++k) {
-      const PendingLeaf& leaf = leaves[k];
-      if (leaf.valid && leaf.terminal && !leaf.cached_terminal &&
-          leaf.env.has_value()) {
-        term.push_back(k);
-        term_sets.push_back(leaf.env->anchors());
-      }
-    }
-    if (!term_sets.empty()) {
-      const std::vector<double> ws = evaluator_.evaluate_many(term_sets);
-      for (std::size_t i = 0; i < term.size(); ++i) {
-        PendingLeaf& leaf = leaves[term[i]];
-        leaf.wirelength = ws[i];
-        leaf.have_wirelength = true;
-        leaf.anchors = std::move(term_sets[i]);
-        leaf.value = reward_(leaf.wirelength);
-      }
-    }
-    if (options_.leaf_evaluation == LeafEvaluation::kPartialPlacement) {
-      std::vector<std::size_t> part;
-      std::vector<std::vector<grid::CellCoord>> part_sets;
-      for (std::size_t k = 0; k < leaves.size(); ++k) {
-        const PendingLeaf& leaf = leaves[k];
-        if (leaf.have_out) {
-          part.push_back(k);
-          part_sets.push_back(leaf.env->anchors());
-        }
-      }
-      if (!part_sets.empty()) {
-        const std::vector<double> vals =
-            evaluator_.evaluate_partial_many(part_sets);
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          leaves[part[i]].value = reward_(vals[i]);
-        }
-      }
-    }
-  }
-
   // Each slot works only on its own env copy, agent clone, evaluator clone
   // and rng_.split stream, so the outputs are a pure function of the slot —
   // identical at every thread count.  A null evaluator clone means the
   // evaluator is not clonable; then the loop runs inline on the shared one.
   const bool cloned_eval = contexts_[0].evaluator != nullptr;
-  // In engine mode, value-network and partial-placement leaves are already
-  // fully scored above; only rollout completion still runs per slot.
-  const bool need_slot_eval =
-      !engine_mode ||
-      options_.leaf_evaluation == LeafEvaluation::kRandomRollout;
   auto evaluate_slot = [&](std::size_t k) {
     PendingLeaf& leaf = leaves[k];
     if (!leaf.valid || leaf.cached_terminal || !leaf.env.has_value()) return;
@@ -418,24 +316,14 @@ void MctsPlacer::run_batch(int batch) {
     rl::AllocationEvaluator& evaluator =
         cloned_eval ? *contexts_[k].evaluator : evaluator_;
     if (leaf.terminal) {
-      if (leaf.have_wirelength) return;  // engine path already scored it
       leaf.wirelength = evaluator.evaluate(env.anchors());
       leaf.have_wirelength = true;
       leaf.anchors = env.anchors();
       leaf.value = reward_(leaf.wirelength);
       return;
     }
-    if (!leaf.have_out) {
-      // Engine off: per-slot forward on the slot's own agent clone.  (The
-      // clone is only made when no engine is configured.)
-      rl::AgentNetwork& agent = cloned_eval ? *contexts_[k].agent : agent_;
-      const std::vector<double> sp = env.placement_state();
-      const std::vector<double> availability = env.availability();
-      leaf.out =
-          agent.forward(sp, availability, env.current_step(), env.num_steps(),
-                        /*train=*/false);
-      leaf.legal = env.legal_actions();
-    }
+    leaf.out = net_forward(env, cloned_eval ? *contexts_[k].agent : agent_);
+    leaf.legal = env.legal_actions();
     double value = static_cast<double>(leaf.out.value);
     switch (options_.leaf_evaluation) {
       case LeafEvaluation::kValueNetwork:
@@ -466,18 +354,16 @@ void MctsPlacer::run_batch(int batch) {
     }
     leaf.value = value;
   };
-  if (need_slot_eval) {
-    if (cloned_eval && par::current_threads() > 1) {
-      par::parallel_for(0, static_cast<std::size_t>(batch), 1,
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t k = lo; k < hi; ++k) {
-                            evaluate_slot(k);
-                          }
-                        });
-    } else {
-      for (std::size_t k = 0; k < static_cast<std::size_t>(batch); ++k) {
-        evaluate_slot(k);
-      }
+  if (cloned_eval && par::current_threads() > 1) {
+    par::parallel_for(0, static_cast<std::size_t>(batch), 1,
+                      [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t k = lo; k < hi; ++k) {
+                          evaluate_slot(k);
+                        }
+                      });
+  } else {
+    for (std::size_t k = 0; k < static_cast<std::size_t>(batch); ++k) {
+      evaluate_slot(k);
     }
   }
 

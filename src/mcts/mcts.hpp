@@ -24,10 +24,6 @@
 #include "rl/reward.hpp"
 #include "util/cancel.hpp"
 
-namespace mp::infer {
-class InferenceEngine;
-}  // namespace mp::infer
-
 namespace mp::mcts {
 
 /// How non-terminal leaves are scored (Sec. IV-B3).
@@ -81,17 +77,6 @@ struct MctsOptions {
   /// other slots of the same batch onto different lines.  Removed at backup.
   int virtual_loss = 3;
 
-  /// Optional shared inference engine (must outlive the placer).  When set,
-  /// the placer registers the agent as an engine snapshot and routes every
-  /// value-network forward through the engine's batched path — a whole
-  /// eval_batch becomes one coalescible request, and concurrent searches
-  /// (service jobs) share batched forwards and snapshot storage instead of
-  /// holding per-slot agent clones.  Results are bit-identical to
-  /// infer_engine == nullptr at equal eval_batch: the engine's batched
-  /// forward is per-sample bit-identical to the single-sample forward, and
-  /// evaluator work keeps the same per-slot clone/rng-split structure.
-  infer::InferenceEngine* infer_engine = nullptr;
-
   /// Commit steps with exactly one legal action directly instead of spending
   /// γ explorations on them.  Deterministic (the forced action is the only
   /// playable one) and off by default so existing searches keep their exact
@@ -132,8 +117,6 @@ class MctsPlacer {
   MctsPlacer(rl::PlacementEnv& env, rl::AllocationEvaluator& evaluator,
              rl::AgentNetwork& agent, rl::RewardFn reward,
              const MctsOptions& options = {});
-  /// Releases the engine snapshot, when one was acquired.
-  ~MctsPlacer();
 
   MctsPlacer(const MctsPlacer&) = delete;
   MctsPlacer& operator=(const MctsPlacer&) = delete;
@@ -204,7 +187,6 @@ class MctsPlacer {
     double wirelength = 0.0;
     std::vector<grid::CellCoord> anchors;  ///< allocation behind `wirelength`
     rl::AgentOutput out;            ///< non-terminal network output
-    bool have_out = false;          ///< `out` pre-filled by the engine path
     std::vector<int> legal;         ///< legal actions at the leaf
   };
 
@@ -225,17 +207,6 @@ class MctsPlacer {
 
   void ensure_contexts(int batch);
 
-  /// Value-network forward for `env`'s state: through the shared engine
-  /// when configured (one coalescible request), directly on `agent`
-  /// otherwise.  Same result either way.
-  rl::AgentOutput net_forward(const rl::PlacementEnv& env,
-                              rl::AgentNetwork& agent);
-
-  /// Batched engine forward for every leaf of a batch that needs the
-  /// network; fills PendingLeaf::out/have_out/legal.  No-op without an
-  /// engine.
-  void engine_fill_outputs(std::vector<PendingLeaf>& leaves);
-
   // Walks one seed line from the current root, expanding nodes along it and
   // backing up its terminal value with options_.seed_visits virtual visits.
   void seed_path(const std::vector<int>& actions);
@@ -255,10 +226,6 @@ class MctsPlacer {
   rl::RewardFn reward_;
   MctsOptions options_;
   util::Rng rng_;
-
-  /// Engine snapshot of `agent_`'s parameters (valid while have_snapshot_).
-  std::uint64_t snapshot_ = 0;
-  bool have_snapshot_ = false;
 
   std::vector<WorkerContext> contexts_;
   /// Monotone exploration counter; batch slot k of the current batch draws

@@ -9,21 +9,32 @@ NodeId Design::add_node(Node node) {
   assert(name_index_.find(node.name) == name_index_.end() &&
          "duplicate node name");
   name_index_.emplace(node.name, id);
+  switch (node.kind) {
+    case NodeKind::kMacro:
+      macros_.push_back(id);
+      if (!node.fixed) movable_macros_.push_back(id);
+      break;
+    case NodeKind::kStdCell:
+      std_cells_.push_back(id);
+      break;
+    case NodeKind::kPad:
+      pads_.push_back(id);
+      break;
+  }
   nodes_.push_back(std::move(node));
-  invalidate_caches();
+  node_nets_.emplace_back();
   return id;
 }
 
 NetId Design::add_net(Net net) {
+  const NetId id = static_cast<NetId>(nets_.size());
   for (const PinRef& pin : net.pins) {
     assert(pin.node >= 0 &&
            static_cast<std::size_t>(pin.node) < nodes_.size() &&
            "net references unknown node");
-    (void)pin;
+    node_nets_[static_cast<std::size_t>(pin.node)].push_back(id);
   }
-  const NetId id = static_cast<NetId>(nets_.size());
   nets_.push_back(std::move(net));
-  adjacency_valid_ = false;
   return id;
 }
 
@@ -31,76 +42,6 @@ std::optional<NodeId> Design::find_node(const std::string& name) const {
   const auto it = name_index_.find(name);
   if (it == name_index_.end()) return std::nullopt;
   return it->second;
-}
-
-void Design::invalidate_caches() {
-  index_valid_ = false;
-  adjacency_valid_ = false;
-}
-
-namespace {
-void build_kind_index(const std::vector<Node>& nodes,
-                      std::vector<NodeId>& macros,
-                      std::vector<NodeId>& movable_macros,
-                      std::vector<NodeId>& std_cells,
-                      std::vector<NodeId>& pads) {
-  macros.clear();
-  movable_macros.clear();
-  std_cells.clear();
-  pads.clear();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    switch (nodes[i].kind) {
-      case NodeKind::kMacro:
-        macros.push_back(id);
-        if (!nodes[i].fixed) movable_macros.push_back(id);
-        break;
-      case NodeKind::kStdCell:
-        std_cells.push_back(id);
-        break;
-      case NodeKind::kPad:
-        pads.push_back(id);
-        break;
-    }
-  }
-}
-}  // namespace
-
-const std::vector<NodeId>& Design::macros() const {
-  if (!index_valid_) {
-    build_kind_index(nodes_, macros_, movable_macros_, std_cells_, pads_);
-    index_valid_ = true;
-  }
-  return macros_;
-}
-
-const std::vector<NodeId>& Design::movable_macros() const {
-  macros();  // ensure index
-  return movable_macros_;
-}
-
-const std::vector<NodeId>& Design::std_cells() const {
-  macros();
-  return std_cells_;
-}
-
-const std::vector<NodeId>& Design::pads() const {
-  macros();
-  return pads_;
-}
-
-const std::vector<std::vector<NetId>>& Design::node_nets() const {
-  if (!adjacency_valid_) {
-    node_nets_.assign(nodes_.size(), {});
-    for (std::size_t n = 0; n < nets_.size(); ++n) {
-      for (const PinRef& pin : nets_[n].pins) {
-        node_nets_[static_cast<std::size_t>(pin.node)].push_back(
-            static_cast<NetId>(n));
-      }
-    }
-    adjacency_valid_ = true;
-  }
-  return node_nets_;
 }
 
 geometry::Point Design::pin_position(const PinRef& pin) const {

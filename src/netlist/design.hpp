@@ -68,7 +68,9 @@ struct DesignStats {
 
 /// Owning container for one design.  NodeIds and NetIds are dense indices
 /// into the internal vectors and remain stable after construction (nodes and
-/// nets are append-only).
+/// nets are append-only).  The kind indexes and the node→net adjacency are
+/// maintained by add_node/add_net, so every const accessor is a pure read
+/// and safe to call from several threads at once.
 class Design {
  public:
   Design() = default;
@@ -102,15 +104,17 @@ class Design {
   /// Node id by name, or nullopt when absent.
   std::optional<NodeId> find_node(const std::string& name) const;
 
-  /// Ids of movable macros, all macros, std cells, pads (computed lazily and
-  /// cached; invalidated by add_node).
-  const std::vector<NodeId>& macros() const;
-  const std::vector<NodeId>& movable_macros() const;
-  const std::vector<NodeId>& std_cells() const;
-  const std::vector<NodeId>& pads() const;
+  /// Ids of all macros, movable macros, std cells and pads, ascending.
+  /// Classified by kind and `fixed` as the node was added.
+  const std::vector<NodeId>& macros() const { return macros_; }
+  const std::vector<NodeId>& movable_macros() const { return movable_macros_; }
+  const std::vector<NodeId>& std_cells() const { return std_cells_; }
+  const std::vector<NodeId>& pads() const { return pads_; }
 
-  /// Nets incident to each node (lazy, invalidated by add_net/add_node).
-  const std::vector<std::vector<NetId>>& node_nets() const;
+  /// Nets incident to each node, ascending (a net appears once per pin).
+  const std::vector<std::vector<NetId>>& node_nets() const {
+    return node_nets_;
+  }
 
   /// Absolute location of one pin.
   geometry::Point pin_position(const PinRef& pin) const;
@@ -130,21 +134,17 @@ class Design {
   double macro_overlap_area() const;
 
  private:
-  void invalidate_caches();
-
   std::string name_;
   geometry::Rect region_;
   std::vector<Node> nodes_;
   std::vector<Net> nets_;
   std::unordered_map<std::string, NodeId> name_index_;
 
-  mutable bool index_valid_ = false;
-  mutable std::vector<NodeId> macros_;
-  mutable std::vector<NodeId> movable_macros_;
-  mutable std::vector<NodeId> std_cells_;
-  mutable std::vector<NodeId> pads_;
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::vector<NetId>> node_nets_;
+  std::vector<NodeId> macros_;
+  std::vector<NodeId> movable_macros_;
+  std::vector<NodeId> std_cells_;
+  std::vector<NodeId> pads_;
+  std::vector<std::vector<NetId>> node_nets_;
 };
 
 }  // namespace mp::netlist

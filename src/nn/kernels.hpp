@@ -16,8 +16,8 @@
 // INVARIANCE: an output element computes identical bits no matter how the
 // work around it is tiled, vectorized, or batched (SIMD body vs scalar
 // tail, batch of 1 vs batch of 32).  That is what makes forward_many
-// bit-identical per sample to forward and request coalescing in
-// src/infer/ result-neutral — docs/INFERENCE.md "Kernel determinism".
+// bit-identical per sample to forward — docs/PARALLELISM.md "Kernel
+// determinism".
 //
 // On FMA hardware (__FMA__ && __AVX2__, e.g. MP_NATIVE_ARCH on a modern
 // x86 host) the forward kernel `gemm_acc` applies *explicit* fused

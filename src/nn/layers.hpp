@@ -41,8 +41,8 @@ class Layer {
   /// leading dimension ([B, C, H, W] / [B, F]) and the result stacks the
   /// per-sample outputs the same way.  Contract: sample b of the result is
   /// bit-identical to `forward(sample_b, /*train=*/false)` for every layer
-  /// (see docs/INFERENCE.md), which is what lets the inference engine
-  /// coalesce requests from unrelated jobs without changing any result.
+  /// (see docs/PARALLELISM.md "Kernel determinism"), so batching samples
+  /// never changes any result.
   /// The default implementation slices and loops; layers with a real batch
   /// kernel (Conv2d: one im2col + one GEMM for the whole batch) override
   /// it.  Never caches backward state — calling backward() after

@@ -45,7 +45,6 @@ MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
   }
   rl::PlacementEnv env(context.coarse, context.clustering, context.spec);
   rl::CoarseEvaluator evaluator(context.coarse, context.spec);
-  evaluator.set_overflow_penalty(options.overflow_penalty);
 
   util::Timer train_timer;
   {
@@ -104,59 +103,14 @@ MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
     };
   }
   util::Timer mcts_timer;
-  std::optional<obs::Span> mcts_span;
-  mcts_span.emplace("mcts.search");
-  mcts::MctsPlacer mcts_placer(env, evaluator, agent, reward, mcts_options);
-  result.mcts_result = mcts_placer.run();
+  {
+    MP_OBS_SPAN("mcts.search");
+    mcts::MctsPlacer mcts_placer(env, evaluator, agent, reward, mcts_options);
+    result.mcts_result = mcts_placer.run();
+  }
+  result.mcts_seconds = mcts_timer.seconds();
   result.coarse_wirelength = result.mcts_result.wirelength;
   result.cancelled = result.mcts_result.cancelled;
-
-  // Greedy anchor hill-climb on the coarse objective (placer extension; see
-  // MctsRlOptions::hill_climb_rounds).
-  if (options.hill_climb_rounds > 0 && !result.cancelled &&
-      !result.mcts_result.anchors.empty()) {
-    MP_OBS_SPAN("mcts.hill_climb");
-    std::vector<grid::CellCoord> anchors = result.mcts_result.anchors;
-    double best = result.coarse_wirelength;
-    const int dim = context.spec.dim();
-    for (int round = 0; round < options.hill_climb_rounds; ++round) {
-      bool improved = false;
-      for (std::size_t g = 0; g < anchors.size(); ++g) {
-        const cluster::Group& group = context.clustering.macro_groups[g];
-        const grid::CellCoord fp =
-            context.spec.footprint_cells(group.width, group.height);
-        const grid::CellCoord original = anchors[g];
-        grid::CellCoord best_anchor = original;
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            if (dx == 0 && dy == 0) continue;
-            const grid::CellCoord candidate{original.gx + dx, original.gy + dy};
-            if (candidate.gx < 0 || candidate.gy < 0 ||
-                candidate.gx + fp.gx > dim || candidate.gy + fp.gy > dim) {
-              continue;
-            }
-            anchors[g] = candidate;
-            const double w = evaluator.evaluate(anchors);
-            if (w < best) {
-              best = w;
-              best_anchor = candidate;
-              improved = true;
-            }
-          }
-        }
-        anchors[g] = best_anchor;
-      }
-      if (!improved) break;
-    }
-    if (best < result.coarse_wirelength) {
-      result.mcts_result.anchors = anchors;
-      result.coarse_wirelength = best;
-      result.mcts_result.wirelength = best;
-      result.mcts_result.reward = reward(best);
-    }
-  }
-  mcts_span.reset();
-  result.mcts_seconds = mcts_timer.seconds();
 
   // --- Legalization + cell placement (line 16) ---
   // A cancelled search may still have found a complete allocation (best

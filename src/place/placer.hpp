@@ -37,10 +37,6 @@ struct MctsRlOptions {
     return c;
   }();
   rl::TrainOptions train;
-  /// Search options.  `mcts.infer_engine` may point at a shared
-  /// infer::InferenceEngine (docs/INFERENCE.md) — the service sets it so
-  /// concurrent jobs coalesce their value-network forwards; placements are
-  /// bit-identical with or without it.
   mcts::MctsOptions mcts;
   /// Warm-start the MCTS with the allocation induced by the initial
   /// analytical placement and the best training episode, and bias expansion
@@ -48,16 +44,6 @@ struct MctsRlOptions {
   /// prior knowledge a fully pre-trained agent provides (the paper trains
   /// 3-10 h on GPU); set false for the paper's pure-π_θ search.
   bool analytic_guidance = true;
-  /// Greedy post-pass on the MCTS allocation: each round tries moving every
-  /// group to its 8 neighboring anchor cells, keeping strict improvements of
-  /// the evaluated wirelength.  Off by default: near its optimum the coarse
-  /// proxy anti-correlates with post-legalization HPWL (see the ablation
-  /// bench), so climbing it further tends to over-pack groups.
-  int hill_climb_rounds = 0;
-  /// Density term of the in-loop evaluator (CoarseEvaluator::
-  /// set_overflow_penalty); keeps the coarse objective aligned with what the
-  /// legalizer can realize.  0 = the paper's pure-HPWL reward.
-  double overflow_penalty = 0.0;
   /// Pre-trained parameters restored into the freshly constructed agent
   /// before training (the paper's pre-trained-policy setting; also the
   /// service weights cache, src/svc/cache.hpp).  Shapes must match the

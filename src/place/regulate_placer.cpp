@@ -173,7 +173,6 @@ RegulateResult regulate_from_context(netlist::Design& design,
   rl::PlacementEnv env(context.coarse, clustering, spec);
   env.set_allowed_actions(mask);
   rl::CoarseEvaluator evaluator(context.coarse, spec);
-  evaluator.set_overflow_penalty(options.overflow_penalty);
 
   util::Timer train_timer;
   {

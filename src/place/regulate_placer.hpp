@@ -15,8 +15,9 @@
 // ones.  Frozen steps are forced moves, which the search commits directly
 // (mcts::MctsOptions::auto_commit_forced) so the whole exploration budget
 // goes to the groups that may actually move.  Results are deterministic:
-// bit-identical across thread counts, eval_batch settings and infer-engine
-// on/off, same as every other preset.
+// bit-identical across eval_batch settings and across thread counts above
+// one (one thread trains on the serial self-play loop), same as every
+// other preset.
 //
 // This header must stay includable from place/placer.hpp (it defines the
 // PlacerSpec member type), so it must not include placer.hpp itself.
@@ -56,8 +57,6 @@ struct RegulateOptions {
   /// max_moves stay movable — the ECO intuition that the worst-stretched
   /// macros are the ones worth touching.
   int max_moves = 0;
-  /// CoarseEvaluator density term (see MctsRlOptions::overflow_penalty).
-  double overflow_penalty = 0.0;
   /// Pre-trained parameters restored into the agent before fine-tuning.
   std::vector<nn::Tensor> initial_parameters;
   /// Cooperative cancellation (propagated into flow/train/mcts).  A

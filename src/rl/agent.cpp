@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/fnv.hpp"
-
 namespace mp::rl {
 
 namespace {
@@ -166,17 +164,6 @@ std::vector<AgentOutput> AgentNetwork::forward_many(
         v[static_cast<std::size_t>(bi)];
   }
   return outputs;
-}
-
-std::uint64_t AgentNetwork::parameter_hash() {
-  std::uint64_t h = util::kFnvOffset;
-  h = util::fnv1a64(&config_.grid_dim, sizeof(config_.grid_dim), h);
-  h = util::fnv1a64(&config_.channels, sizeof(config_.channels), h);
-  h = util::fnv1a64(&config_.res_blocks, sizeof(config_.res_blocks), h);
-  for (const nn::Parameter* p : parameters()) {
-    h = util::fnv1a64(p->value.data(), sizeof(float) * p->value.size(), h);
-  }
-  return h;
 }
 
 void AgentNetwork::backward(const nn::Tensor& policy_logit_grad,

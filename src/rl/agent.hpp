@@ -32,8 +32,8 @@ struct AgentOutput {
   float value = 0.0f;
 };
 
-/// One observation ⟨s_p, s_a, t⟩ for the batched inference entry points
-/// (AgentNetwork::forward_many, infer::InferenceEngine).
+/// One observation ⟨s_p, s_a, t⟩ for the batched inference entry point
+/// AgentNetwork::forward_many.
 struct NetInput {
   std::vector<double> sp;            ///< flat ζ² utilization map
   std::vector<double> availability;  ///< flat ζ² mask s_a
@@ -57,17 +57,11 @@ class AgentNetwork {
 
   /// Batched inference forward: one N×C×H×W pass through the whole network
   /// (one im2col + one GEMM per conv for the batch).  Output i is
-  /// bit-identical to forward(inputs[i], train=false) — see docs/INFERENCE.md
-  /// for why this holds — and unlike forward() it leaves the backward caches
-  /// untouched.  Not thread-safe (layers scratch internal state); the
-  /// inference engine serializes calls per snapshot.
+  /// bit-identical to forward(inputs[i], train=false) — see
+  /// docs/PARALLELISM.md "Kernel determinism" for why this holds — and
+  /// unlike forward() it leaves the backward caches untouched.  Not
+  /// thread-safe (layers scratch internal state).
   std::vector<AgentOutput> forward_many(const std::vector<NetInput>& inputs);
-
-  /// FNV-1a content hash of the architecture and every parameter value's
-  /// bit pattern (BN running statistics included).  Networks with equal
-  /// hashes are interchangeable for inference; the inference engine keys
-  /// its snapshot registry on this.
-  std::uint64_t parameter_hash();
 
   /// Backward for the most recent forward(train=true): `policy_logit_grad`
   /// is dL/d(policy logits) (ζ², e.g. from nn::policy_gradient) and

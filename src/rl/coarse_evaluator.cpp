@@ -20,10 +20,6 @@ CoarseEvaluator::CoarseEvaluator(const cluster::CoarseDesign& coarse,
   initial_macro_positions_.reserve(macro_group_nodes_.size());
   for (netlist::NodeId id : macro_group_nodes_) {
     initial_macro_positions_.push_back(design_.node(id).position);
-    const netlist::Node& node = design_.node(id);
-    group_footprints_.push_back(
-        grid::make_footprint(spec_, node.width, node.height));
-    total_group_area_ += node.area();
   }
 }
 
@@ -41,18 +37,7 @@ double CoarseEvaluator::evaluate(const std::vector<grid::CellCoord>& anchors) {
     design_.node(cell_group_nodes_[c]).position = initial_cell_positions_[c];
   }
   qp::solve_quadratic_placement(design_, cell_group_nodes_, {}, {}, qp_options_);
-  double w = design_.total_hpwl();
-  if (overflow_penalty_ > 0.0 && total_group_area_ > 0.0) {
-    grid::OccupancyMap occupancy(spec_);
-    for (std::size_t g = 0; g < anchors.size(); ++g) {
-      if (occupancy.fits(group_footprints_[g], anchors[g])) {
-        occupancy.place(group_footprints_[g], anchors[g]);
-      }
-    }
-    w *= 1.0 + overflow_penalty_ * occupancy.total_overflow() /
-                   total_group_area_;
-  }
-  return w;
+  return design_.total_hpwl();
 }
 
 double CoarseEvaluator::evaluate_partial(

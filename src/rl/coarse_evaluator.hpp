@@ -16,14 +16,6 @@ class CoarseEvaluator : public AllocationEvaluator {
   CoarseEvaluator(const cluster::CoarseDesign& coarse, grid::GridSpec spec,
                   qp::QpOptions qp_options = {});
 
-  /// Density-awareness: evaluate() returns W · (1 + f · overflow / area_M)
-  /// where `overflow` is the total grid-capacity excess of the allocation
-  /// and area_M the total macro-group area.  The pure-QP wirelength proxy
-  /// otherwise rewards packing groups beyond what legalization can place
-  /// well.  0 disables (pure HPWL, the paper's letter).
-  void set_overflow_penalty(double factor) { overflow_penalty_ = factor; }
-  double overflow_penalty() const { return overflow_penalty_; }
-
   double evaluate(const std::vector<grid::CellCoord>& anchors) override;
 
   /// Pins the first anchors.size() macro groups; the remaining macro groups
@@ -52,9 +44,6 @@ class CoarseEvaluator : public AllocationEvaluator {
   std::vector<geometry::Point> initial_macro_positions_;
   grid::GridSpec spec_;
   qp::QpOptions qp_options_;
-  double overflow_penalty_ = 0.0;
-  std::vector<grid::Footprint> group_footprints_;
-  double total_group_area_ = 0.0;
   long long evaluations_ = 0;
 };
 

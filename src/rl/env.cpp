@@ -7,60 +7,7 @@
 #include "check/validators.hpp"
 #include "obs/obs.hpp"
 
-#include "par/par.hpp"
-
 namespace mp::rl {
-
-namespace {
-
-// Shared body of evaluate_many / evaluate_partial_many: chunk the sets with
-// par::parallel_for (grain 1 — each evaluation is a full coarse-QP solve),
-// give every chunk its own clone, and score through `fn`.  Falls back to the
-// shared instance serially when the evaluator is not clonable.
-template <typename Fn>
-std::vector<double> evaluate_sets(
-    AllocationEvaluator& self,
-    const std::vector<std::vector<grid::CellCoord>>& anchor_sets, Fn fn) {
-  const std::size_t n = anchor_sets.size();
-  std::vector<double> out(n, 0.0);
-  if (n == 0) return out;
-  constexpr std::size_t kGrain = 1;
-  std::vector<std::unique_ptr<AllocationEvaluator>> clones;
-  if (n > 1) {
-    const std::size_t chunks = par::detail::chunk_count(n, kGrain);
-    clones.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) clones.push_back(self.clone());
-  }
-  if (n == 1 || clones.front() == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = fn(self, anchor_sets[i]);
-    return out;
-  }
-  par::parallel_for(0, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-    AllocationEvaluator& eval = *clones[lo / kGrain];
-    for (std::size_t i = lo; i < hi; ++i) out[i] = fn(eval, anchor_sets[i]);
-  });
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> AllocationEvaluator::evaluate_many(
-    const std::vector<std::vector<grid::CellCoord>>& anchor_sets) {
-  return evaluate_sets(*this, anchor_sets,
-                       [](AllocationEvaluator& e,
-                          const std::vector<grid::CellCoord>& anchors) {
-                         return e.evaluate(anchors);
-                       });
-}
-
-std::vector<double> AllocationEvaluator::evaluate_partial_many(
-    const std::vector<std::vector<grid::CellCoord>>& anchor_sets) {
-  return evaluate_sets(*this, anchor_sets,
-                       [](AllocationEvaluator& e,
-                          const std::vector<grid::CellCoord>& anchors) {
-                         return e.evaluate_partial(anchors);
-                       });
-}
 
 PlacementEnv::PlacementEnv(const cluster::CoarseDesign& coarse,
                            const cluster::Clustering& clustering,

@@ -38,19 +38,6 @@ class AllocationEvaluator {
   /// the shared instance).  A clone must return bit-identical values for
   /// identical allocations.
   virtual std::unique_ptr<AllocationEvaluator> clone() const { return nullptr; }
-
-  /// Batched counterpart of evaluate(): scores anchor_sets[i] into slot i of
-  /// the result.  The default clones the evaluator once per par:: chunk and
-  /// scores the sets in parallel, falling back to a serial loop when clone()
-  /// is unsupported.  Either way the result is bit-identical to calling
-  /// evaluate() serially per set (clones are bit-identical and sets are
-  /// independent), so the batched MCTS leaf path can use it freely.
-  virtual std::vector<double> evaluate_many(
-      const std::vector<std::vector<grid::CellCoord>>& anchor_sets);
-
-  /// Batched evaluate_partial(), same contract as evaluate_many().
-  virtual std::vector<double> evaluate_partial_many(
-      const std::vector<std::vector<grid::CellCoord>>& anchor_sets);
 };
 
 /// Per-step action restriction: mask[t] is the sorted list of flat cell

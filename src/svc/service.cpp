@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "infer/engine.hpp"
 #include "io/bookshelf.hpp"
 #include "net/wire.hpp"
 #include "obs/obs.hpp"
@@ -54,11 +53,6 @@ LocalService::LocalService(ServiceOptions options)
              options.cache_weights, options.cache_placements) {
   if (options_.workers <= 0) {
     options_.workers = std::max(1, util::env_int("MP_WORKERS", 1));
-  }
-  if (options_.infer < 0) options_.infer = util::env_int("MP_INFER", 0);
-  if (options_.infer > 0) {
-    infer_engine_ = std::make_unique<infer::InferenceEngine>(
-        infer::EngineOptions::from_env(&slo_ctx_.registry()));
   }
   scheduler_ = std::make_unique<Scheduler>(
       [this](const std::string& id, const JobSpec& spec,
@@ -164,14 +158,6 @@ JobOutcome LocalService::execute(const std::string& id, const JobSpec& spec,
     place::PlacerSpec pspec =
         place::spec_from_preset(spec.preset, knobs_for(spec));
     pspec.cancel = cancel;
-    // Set outside spec_from_preset on purpose: the engine pointer is a
-    // runtime resource, not a knob, and it never changes the placement
-    // (engine batching is per-sample bit-identical), so job results stay
-    // comparable across engine-on and engine-off deployments.
-    if (infer_engine_ != nullptr) {
-      pspec.mcts_rl.mcts.infer_engine = infer_engine_.get();
-      pspec.regulate.mcts.infer_engine = infer_engine_.get();
-    }
 
     if (spec.preset == FlowPreset::kRegulate) {
       if (!spec.weights_path.empty()) {

@@ -24,10 +24,6 @@
 #include "svc/cache.hpp"
 #include "svc/scheduler.hpp"
 
-namespace mp::infer {
-class InferenceEngine;
-}  // namespace mp::infer
-
 namespace mp::svc {
 
 struct ServiceOptions {
@@ -47,15 +43,6 @@ struct ServiceOptions {
   /// Span depth cutoff for progress events: 1 is just the job envelope,
   /// 2 adds the flow phases (prepare / rl.train / mcts.search / finalize).
   int max_progress_depth = 2;
-  /// Share one batched inference engine across all jobs' MCTS searches
-  /// (docs/INFERENCE.md): value-network forwards from concurrent jobs
-  /// coalesce into larger batched forwards and identical agents dedupe into
-  /// content-hashed parameter snapshots.  Placements are bit-identical to
-  /// engine-off at equal job specs.  <0 resolves the MP_INFER env var
-  /// (default off); 0 off; >0 on.  Engine knobs come from MP_INFER_BATCH /
-  /// MP_INFER_WAIT_US / MP_INFER_THREADS (infer::EngineOptions::from_env);
-  /// its infer.* telemetry lands in the SLO registry (metrics verb).
-  int infer = -1;
 };
 
 /// One streamed progress notification (span enter/exit of the running job).
@@ -146,10 +133,6 @@ class LocalService {
   /// Declared before scheduler_: worker threads record into this registry
   /// until the scheduler joins them, so it must be destroyed after.
   obs::Context slo_ctx_{"svc"};
-  /// Shared batched inference engine (ServiceOptions::infer); null when
-  /// off.  Declared before scheduler_ so running jobs can use it until the
-  /// workers join, and after slo_ctx_ so its telemetry registry outlives it.
-  std::unique_ptr<infer::InferenceEngine> infer_engine_;
   std::unique_ptr<Scheduler> scheduler_;
 
   std::mutex listeners_mutex_ MP_GUARDS(listeners_, next_listener_token_);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include "benchgen/generator.hpp"
 #include "cluster/clustering.hpp"
@@ -30,12 +32,19 @@ netlist::Design placed_bench(std::uint64_t seed, int macros, int cells,
   return d;
 }
 
+// gtest names each case by printing the raw bytes of its SweepCase, so the
+// struct must have no padding: uninitialized padding bytes would change the
+// test names from run to run.  Hence a 4-byte enum rather than a bool.
+enum class Shape : std::int32_t { kFlat = 0, kHierarchical = 1 };
+
 struct SweepCase {
   int grid_dim;
   int macros;
   int cells;
-  bool hierarchy;
+  Shape shape;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>,
+              "SweepCase must have no padding bytes");
 
 class ClusterSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -43,7 +52,7 @@ TEST_P(ClusterSweep, InvariantsHold) {
   const SweepCase c = GetParam();
   netlist::Design d = placed_bench(
       1000 + static_cast<std::uint64_t>(c.grid_dim * 100 + c.macros),
-      c.macros, c.cells, c.hierarchy);
+      c.macros, c.cells, c.shape == Shape::kHierarchical);
   const grid::GridSpec spec(d.region(), c.grid_dim);
   const Clustering clustering = cluster_design(d, spec);
 
@@ -89,12 +98,12 @@ TEST_P(ClusterSweep, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ClusterSweep,
-    ::testing::Values(SweepCase{4, 8, 150, false},
-                      SweepCase{8, 16, 250, false},
-                      SweepCase{8, 16, 250, true},
-                      SweepCase{16, 30, 400, true},
-                      SweepCase{16, 30, 400, false},
-                      SweepCase{2, 6, 100, false}));
+    ::testing::Values(SweepCase{4, 8, 150, Shape::kFlat},
+                      SweepCase{8, 16, 250, Shape::kFlat},
+                      SweepCase{8, 16, 250, Shape::kHierarchical},
+                      SweepCase{16, 30, 400, Shape::kHierarchical},
+                      SweepCase{16, 30, 400, Shape::kFlat},
+                      SweepCase{2, 6, 100, Shape::kFlat}));
 
 }  // namespace
 }  // namespace mp::cluster

@@ -1,5 +1,5 @@
-// Tests for the coarse allocation evaluator: full vs partial evaluation,
-// determinism, and the overflow penalty.
+// Tests for the coarse allocation evaluator: full vs partial evaluation and
+// determinism.
 
 #include <gtest/gtest.h>
 
@@ -73,34 +73,6 @@ TEST(Evaluator, EmptyPrefixGivesFullRelaxation) {
       ev.evaluate(f.diagonal_anchors(f.context.clustering.macro_groups.size()));
   EXPECT_GT(relaxed, 0.0);
   EXPECT_LT(relaxed, pinned * 1.1);
-}
-
-TEST(Evaluator, OverflowPenaltyInflatesPackedAllocations) {
-  Fixture f(213);
-  CoarseEvaluator plain(f.context.coarse, f.context.spec);
-  CoarseEvaluator penalized(f.context.coarse, f.context.spec);
-  penalized.set_overflow_penalty(2.0);
-  const std::size_t n = f.context.clustering.macro_groups.size();
-  const std::vector<grid::CellCoord> stacked(n, {0, 0});
-  const double w_plain = plain.evaluate(stacked);
-  const double w_penalized = penalized.evaluate(stacked);
-  EXPECT_GT(w_penalized, w_plain) << "stacking must be penalized";
-
-  // A spread allocation with little overflow is barely affected.
-  const auto spread = f.diagonal_anchors(n);
-  const double s_plain = plain.evaluate(spread);
-  const double s_penalized = penalized.evaluate(spread);
-  EXPECT_LT(s_penalized / s_plain, w_penalized / w_plain);
-}
-
-TEST(Evaluator, PenaltyZeroIsExactlyPlain) {
-  Fixture f(214);
-  CoarseEvaluator a(f.context.coarse, f.context.spec);
-  CoarseEvaluator b(f.context.coarse, f.context.spec);
-  b.set_overflow_penalty(0.0);
-  const auto anchors =
-      f.diagonal_anchors(f.context.clustering.macro_groups.size());
-  EXPECT_DOUBLE_EQ(a.evaluate(anchors), b.evaluate(anchors));
 }
 
 TEST(Evaluator, EvaluationCounterCountsBothKinds) {

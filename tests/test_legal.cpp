@@ -182,6 +182,29 @@ TEST(LegalizeFlat, FullDesignBecomesLegal) {
   EXPECT_NEAR(r.overlap_after, 0.0, d.region().area() * 1e-9);
 }
 
+TEST(LegalizeFlat, FitsNonOverlappingMacroBackIntoRegion) {
+  // Past the right edge and overlapping nothing: no overlap component and
+  // no shove would move it, so legalize_flat must fit it back explicitly.
+  netlist::Design d("d", geometry::Rect(0, 0, 100, 100));
+  netlist::Node inside;
+  inside.name = "inside";
+  inside.kind = netlist::NodeKind::kMacro;
+  inside.width = 10;
+  inside.height = 10;
+  inside.position = {10, 10};
+  d.add_node(inside);
+  netlist::Node outside = inside;
+  outside.name = "outside";
+  outside.position = {95, 40};
+  d.add_node(outside);
+  legalize_flat(d);
+  EXPECT_TRUE(d.all_inside_region());
+  EXPECT_EQ(d.node(0).position.x, 10.0);  // in-region macros stay put
+  EXPECT_EQ(d.node(0).position.y, 10.0);
+  EXPECT_EQ(d.node(1).position.y, 40.0);
+  EXPECT_EQ(d.macro_overlap_area(), 0.0);
+}
+
 TEST(LegalizeGroups, EndToEndOverlapFree) {
   benchgen::BenchSpec spec;
   spec.movable_macros = 10;

@@ -95,7 +95,7 @@ TEST(LintPolicy, ResultAffectingDirsGetDeterminism) {
         "src/qp/solver.cpp", "src/legal/legalize.cpp", "src/nn/net.cpp",
         "src/place/placer.cpp", "src/place/regulate_placer.cpp",
         "src/grid/grid.hpp", "src/netlist/design.cpp",
-        "src/linalg/vec.hpp", "src/infer/engine.cpp", "src/infer/engine.hpp"}) {
+        "src/linalg/vec.hpp"}) {
     EXPECT_TRUE(policy_for(path).determinism) << path;
     EXPECT_TRUE(policy_for(path).lint) << path;
   }
@@ -178,16 +178,16 @@ TEST(LintClock, FlagsCTimeCallsButNotMembers) {
       "wall-clock"));
 }
 
-TEST(LintClock, InferEngineTimerNeedsJustifiedAllow) {
-  // src/infer/ is result-affecting: a bare clock read is flagged, and only
-  // the justified coalescing-timer allow (engine.cpp) suppresses it.
+TEST(LintClock, ResultDirTimerNeedsJustifiedAllow) {
+  // src/mcts/ is result-affecting: a bare clock read is flagged, and only a
+  // justified allow suppresses it.
   EXPECT_TRUE(has_check(
-      lint_source("src/infer/engine.cpp",
+      lint_source("src/mcts/mcts.cpp",
                   "auto d = std::chrono::steady_clock::now();\n"),
       "wall-clock"));
   EXPECT_TRUE(
-      lint_source("src/infer/engine.cpp",
-                  "// mplint: allow(wall-clock): coalescing wait timer\n"
+      lint_source("src/mcts/mcts.cpp",
+                  "// mplint: allow(wall-clock): log-only search timer\n"
                   "auto d = std::chrono::steady_clock::now();\n")
           .empty());
 }

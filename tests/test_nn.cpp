@@ -139,6 +139,54 @@ TEST(Conv2d, GradientCheck1x1) {
   check_gradients(conv, random_tensor({4, 3, 3}, 8));
 }
 
+TEST(BatchedForward, ConvForwardBatchedMatchesPerSample) {
+  util::Rng rng(3);
+  Conv2d conv(3, 5, 3, rng);
+  const int h = 8, w = 8;
+  for (const int batch : {1, 2, 7}) {
+    Tensor stacked({batch, 3, h, w});
+    util::Rng data_rng(40u + static_cast<std::uint64_t>(batch));
+    for (std::size_t i = 0; i < stacked.size(); ++i) {
+      stacked[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
+    }
+    const Tensor out = conv.forward_batched(stacked, batch);
+    ASSERT_EQ(out.dim(0), batch);
+    const std::size_t in_stride = static_cast<std::size_t>(3) * h * w;
+    const std::size_t out_stride = static_cast<std::size_t>(5) * h * w;
+    for (int b = 0; b < batch; ++b) {
+      Tensor sample({3, h, w});
+      std::memcpy(sample.data(), stacked.data() + in_stride * b,
+                  sizeof(float) * in_stride);
+      const Tensor one = conv.forward(sample, /*train=*/false);
+      EXPECT_EQ(std::memcmp(out.data() + out_stride * b, one.data(),
+                            sizeof(float) * out_stride),
+                0)
+          << "batch " << batch << " sample " << b;
+    }
+  }
+}
+
+TEST(BatchedForward, ConvReleasesColCacheAfterInferenceForward) {
+  util::Rng rng(4);
+  Conv2d conv(2, 2, 3, rng);
+  Tensor x({2, 4, 4}, 0.5f);
+
+  conv.forward(x, /*train=*/true);
+  EXPECT_TRUE(conv.holds_col_cache());  // backward needs it
+
+  conv.forward(x, /*train=*/false);
+  EXPECT_FALSE(conv.holds_col_cache());  // inference must not retain it
+
+  conv.forward(x, /*train=*/true);
+  Tensor stacked({2, 2, 4, 4}, 0.25f);
+  conv.forward_batched(stacked, 2);
+  // forward_batched never touches the training caches either way, but it
+  // must not leave a batch-sized buffer behind.
+  EXPECT_TRUE(conv.holds_col_cache());
+  conv.forward(x, /*train=*/false);
+  EXPECT_FALSE(conv.holds_col_cache());
+}
+
 TEST(BatchNorm2d, NormalizesInTrainMode) {
   BatchNorm2d bn(2);
   const Tensor x = random_tensor({2, 4, 4}, 9);

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem (obs): counter/gauge/histogram math,
-// span nesting and self-time accounting, JSONL report round-trips through a
-// tiny JSON parser, disabled-mode inertness, and the guarantee that flow
-// instrumentation never changes placement results.
+// span nesting and self-time accounting, JSONL report round-trips through
+// the service's JSON parser, disabled-mode inertness, and the guarantee
+// that flow instrumentation never changes placement results.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,150 +18,32 @@
 #include "obs/report.hpp"
 #include "par/par.hpp"
 #include "place/flow.hpp"
+#include "svc/json.hpp"
 #include "util/timer.hpp"
 
 namespace mp::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tiny JSON parser — just enough to round-trip the report writer's output.
+// Report lines are parsed with the service's JSON parser (svc::Json).
 
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-
-  const Json& at(const std::string& key) const {
-    auto it = object.find(key);
-    EXPECT_NE(it, object.end()) << "missing key: " << key;
-    static const Json null_json;
-    return it != object.end() ? it->second : null_json;
+/// Parses one report line; a malformed line fails the test and yields null.
+svc::Json parse_line(const std::string& line) {
+  try {
+    return svc::Json::parse(line);
+  } catch (const svc::JsonError& e) {
+    ADD_FAILURE() << e.what() << " in: " << line.substr(0, 80);
+    return svc::Json();
   }
-};
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing garbage after JSON value";
-    return v;
-  }
-
-  bool ok() const { return ok_; }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  char peek() { skip_ws(); return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  bool consume(char c) {
-    if (peek() != c) { ok_ = false; return false; }
-    ++pos_;
-    return true;
-  }
-
-  bool consume_word(const char* w) {
-    skip_ws();
-    for (const char* p = w; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) { ok_ = false; return false; }
-    }
-    return true;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': { Json v; v.type = Json::Type::kString; v.string = string(); return v; }
-      case 't': { Json v; v.type = Json::Type::kBool; v.boolean = true; consume_word("true"); return v; }
-      case 'f': { Json v; v.type = Json::Type::kBool; v.boolean = false; consume_word("false"); return v; }
-      case 'n': { consume_word("null"); return Json{}; }
-      default: return number();
-    }
-  }
-
-  Json object() {
-    Json v;
-    v.type = Json::Type::kObject;
-    consume('{');
-    if (peek() == '}') { consume('}'); return v; }
-    while (ok_) {
-      const std::string key = string();
-      consume(':');
-      v.object.emplace(key, value());
-      if (peek() == ',') { consume(','); continue; }
-      consume('}');
-      break;
-    }
-    return v;
-  }
-
-  Json array() {
-    Json v;
-    v.type = Json::Type::kArray;
-    consume('[');
-    if (peek() == ']') { consume(']'); return v; }
-    while (ok_) {
-      v.array.push_back(value());
-      if (peek() == ',') { consume(','); continue; }
-      consume(']');
-      break;
-    }
-    return v;
-  }
-
-  std::string string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': pos_ += 4; out += '?'; break;  // enough for round-trip tests
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ < text_.size()) ++pos_;  // closing quote
-    else ok_ = false;
-    return out;
-  }
-
-  Json number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    Json v;
-    if (pos_ == start) { ok_ = false; return v; }
-    v.type = Json::Type::kNumber;
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// Member `key` of an object; fails the test and yields null when absent.
+const svc::Json& at(const svc::Json& object, const std::string& key) {
+  static const svc::Json null_json;
+  const svc::Json* member = object.find(key);
+  EXPECT_NE(member, nullptr) << "missing key: " << key;
+  return member != nullptr ? *member : null_json;
+}
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::vector<std::string> lines;
@@ -562,33 +443,33 @@ TEST_F(ObsTest, RunReportRoundTripsThroughJsonParser) {
 
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  JsonParser parser(lines[0]);
-  const Json doc = parser.parse();
-  ASSERT_TRUE(parser.ok());
-  ASSERT_EQ(doc.type, Json::Type::kObject);
+  const svc::Json doc = parse_line(lines[0]);
+  ASSERT_TRUE(doc.is_object());
 
-  EXPECT_EQ(doc.at("kind").string, "run");
-  EXPECT_EQ(doc.at("label").string, "unit_test");
-  EXPECT_DOUBLE_EQ(doc.at("counters").at("rt.counter").number, 42.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("rt.gauge").number, 2.5);
+  EXPECT_EQ(at(doc, "kind").as_string(), "run");
+  EXPECT_EQ(at(doc, "label").as_string(), "unit_test");
+  EXPECT_DOUBLE_EQ(at(at(doc, "counters"), "rt.counter").as_number(), 42.0);
+  EXPECT_DOUBLE_EQ(at(at(doc, "gauges"), "rt.gauge").as_number(), 2.5);
 
-  const Json& hist = doc.at("histograms").at("rt.hist");
-  EXPECT_DOUBLE_EQ(hist.at("count").number, 10.0);
-  EXPECT_DOUBLE_EQ(hist.at("sum").number, 30.0);
-  EXPECT_DOUBLE_EQ(hist.at("mean").number, 3.0);
+  const svc::Json& hist = at(at(doc, "histograms"), "rt.hist");
+  EXPECT_DOUBLE_EQ(at(hist, "count").as_number(), 10.0);
+  EXPECT_DOUBLE_EQ(at(hist, "sum").as_number(), 30.0);
+  EXPECT_DOUBLE_EQ(at(hist, "mean").as_number(), 3.0);
   // Constant samples: every reported quantile is exact.
-  EXPECT_DOUBLE_EQ(hist.at("p50").number, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("p90").number, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("p95").number, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("p99").number, 3.0);
+  EXPECT_DOUBLE_EQ(at(hist, "p50").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(at(hist, "p90").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(at(hist, "p95").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(at(hist, "p99").as_number(), 3.0);
 
-  const Json& spans = doc.at("spans");
-  ASSERT_EQ(spans.type, Json::Type::kArray);
-  ASSERT_EQ(spans.array.size(), 1u);
-  EXPECT_EQ(spans.array[0].at("name").string, "rt.outer");
-  EXPECT_GT(spans.array[0].at("wall_s").number, 0.0);
-  ASSERT_EQ(spans.array[0].at("children").array.size(), 1u);
-  EXPECT_EQ(spans.array[0].at("children").array[0].at("name").string, "rt.inner");
+  const svc::Json& spans = at(doc, "spans");
+  ASSERT_TRUE(spans.is_array());
+  ASSERT_EQ(spans.size(), 1u);
+  const svc::Json& outer = spans.items()[0];
+  EXPECT_EQ(at(outer, "name").as_string(), "rt.outer");
+  EXPECT_GT(at(outer, "wall_s").as_number(), 0.0);
+  ASSERT_EQ(at(outer, "children").size(), 1u);
+  EXPECT_EQ(at(at(outer, "children").items()[0], "name").as_string(),
+            "rt.inner");
   std::remove(path.c_str());
 }
 
@@ -600,9 +481,8 @@ TEST_F(ObsTest, RunReportAppendsOneLinePerRun) {
   writer.write_run("second", Registry::global().snapshot());
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u);
-  JsonParser p0(lines[0]), p1(lines[1]);
-  EXPECT_EQ(p0.parse().at("label").string, "first");
-  EXPECT_EQ(p1.parse().at("label").string, "second");
+  EXPECT_EQ(at(parse_line(lines[0]), "label").as_string(), "first");
+  EXPECT_EQ(at(parse_line(lines[1]), "label").as_string(), "second");
   std::remove(path.c_str());
 }
 
@@ -613,10 +493,10 @@ TEST_F(ObsTest, NonFiniteValuesSerializeAsNull) {
   ReportWriter(path).write_run("nan", Registry::global().snapshot());
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  JsonParser parser(lines[0]);
-  const Json doc = parser.parse();
-  ASSERT_TRUE(parser.ok());
-  EXPECT_EQ(doc.at("gauges").at("rt.nan_gauge").type, Json::Type::kNull);
+  const svc::Json doc = parse_line(lines[0]);
+  ASSERT_TRUE(doc.is_object());
+  // at() fails the test when the key is absent, so null here means "null".
+  EXPECT_TRUE(at(at(doc, "gauges"), "rt.nan_gauge").is_null());
   std::remove(path.c_str());
 }
 
@@ -628,16 +508,16 @@ TEST_F(ObsTest, TableReportRoundTrips) {
                      {{"ibm01", {12.5, 0.25}}, {"ibm02", {99.0, 1.0}}});
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  JsonParser parser(lines[0]);
-  const Json doc = parser.parse();
-  ASSERT_TRUE(parser.ok());
-  EXPECT_EQ(doc.at("kind").string, "table");
-  EXPECT_EQ(doc.at("bench").string, "bench_x");
-  ASSERT_EQ(doc.at("columns").array.size(), 2u);
-  EXPECT_EQ(doc.at("columns").array[0].string, "hpwl");
-  ASSERT_EQ(doc.at("rows").array.size(), 2u);
-  EXPECT_EQ(doc.at("rows").array[0].at("name").string, "ibm01");
-  EXPECT_DOUBLE_EQ(doc.at("rows").array[0].at("values").array[1].number, 0.25);
+  const svc::Json doc = parse_line(lines[0]);
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(at(doc, "kind").as_string(), "table");
+  EXPECT_EQ(at(doc, "bench").as_string(), "bench_x");
+  ASSERT_EQ(at(doc, "columns").size(), 2u);
+  EXPECT_EQ(at(doc, "columns").items()[0].as_string(), "hpwl");
+  ASSERT_EQ(at(doc, "rows").size(), 2u);
+  const svc::Json& row = at(doc, "rows").items()[0];
+  EXPECT_EQ(at(row, "name").as_string(), "ibm01");
+  EXPECT_DOUBLE_EQ(at(row, "values").items()[1].as_number(), 0.25);
   std::remove(path.c_str());
 }
 
@@ -649,12 +529,12 @@ TEST_F(ObsTest, EscapedStringsSurviveRoundTrip) {
                                Registry::global().snapshot());
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  JsonParser parser(lines[0]);
-  const Json doc = parser.parse();
-  ASSERT_TRUE(parser.ok());
-  EXPECT_EQ(doc.at("label").string, "label \\ \"quoted\"");
+  const svc::Json doc = parse_line(lines[0]);
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(at(doc, "label").as_string(), "label \\ \"quoted\"");
   EXPECT_DOUBLE_EQ(
-      doc.at("counters").at("weird \"name\"\twith\nescapes").number, 1.0);
+      at(at(doc, "counters"), "weird \"name\"\twith\nescapes").as_number(),
+      1.0);
   std::remove(path.c_str());
 }
 
@@ -691,10 +571,9 @@ TEST_F(ObsTest, ConcurrentWritersToOneDestinationNeverInterleaveLines) {
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kWriters * kLines));
   for (const std::string& line : lines) {
-    JsonParser parser(line);
-    const Json doc = parser.parse();
-    ASSERT_TRUE(parser.ok()) << "torn line: " << line.substr(0, 80);
-    EXPECT_EQ(doc.at("kind").string, "run");
+    const svc::Json doc = parse_line(line);
+    ASSERT_TRUE(doc.is_object()) << "torn line: " << line.substr(0, 80);
+    EXPECT_EQ(at(doc, "kind").as_string(), "run");
   }
   std::remove(path.c_str());
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
@@ -206,6 +207,77 @@ TEST(ParStress, ExceptionInTaskPropagates) {
     n.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(n.load(), 16);
+}
+
+// ---------------------------------------------------------------------------
+// Shared Design: the const accessors are pure reads (the TSan target)
+// ---------------------------------------------------------------------------
+
+/// Node-by-node copy through add_node/add_net, so nothing has read any index
+/// of the result yet.
+netlist::Design rebuilt(const netlist::Design& source) {
+  netlist::Design design(source.name(), source.region());
+  for (const netlist::Node& node : source.nodes()) design.add_node(node);
+  for (const netlist::Net& net : source.nets()) design.add_net(net);
+  return design;
+}
+
+struct DesignReads {
+  std::vector<netlist::NodeId> macros, movable_macros, std_cells, pads;
+  std::vector<std::vector<netlist::NetId>> node_nets;
+};
+
+TEST(ParDesign, ConcurrentFirstReadsMatchSerialReference) {
+  benchgen::BenchSpec spec;
+  spec.movable_macros = 12;
+  spec.std_cells = 400;
+  spec.nets = 500;
+  spec.seed = 88;
+  const netlist::Design source = benchgen::generate(spec);
+  const netlist::Design reference = rebuilt(source);
+  const DesignReads expected{reference.macros(), reference.movable_macros(),
+                             reference.std_cells(), reference.pads(),
+                             reference.node_nets()};
+  const netlist::DesignStats stats = source.stats();
+  EXPECT_EQ(expected.movable_macros.size(),
+            static_cast<std::size_t>(stats.movable_macros));
+  EXPECT_EQ(expected.std_cells.size(),
+            static_cast<std::size_t>(stats.standard_cells));
+  EXPECT_EQ(expected.node_nets.size(), source.num_nodes());
+
+  // Four workers make their first reads of a fresh design at the same time:
+  // each waits on a relaxed counter (no happens-before edge between
+  // workers) until all four hold a task, then reads in its own order.
+  constexpr int kWorkers = 4;
+  ThreadGuard guard(kWorkers);
+  const netlist::Design fresh = rebuilt(source);
+  std::atomic<int> arrived{0};
+  std::vector<DesignReads> seen(kWorkers);
+  par::parallel_for(0, kWorkers, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t w = lo; w < hi; ++w) {
+      arrived.fetch_add(1, std::memory_order_relaxed);
+      for (int spin = 0; spin < 1000000 &&
+                         arrived.load(std::memory_order_relaxed) < kWorkers;
+           ++spin) {
+        std::this_thread::yield();
+      }
+      DesignReads& r = seen[w];
+      if (w % 2 == 0) r.node_nets = fresh.node_nets();
+      r.pads = fresh.pads();
+      r.std_cells = fresh.std_cells();
+      r.movable_macros = fresh.movable_macros();
+      r.macros = fresh.macros();
+      if (w % 2 == 1) r.node_nets = fresh.node_nets();
+    }
+  });
+  for (int w = 0; w < kWorkers; ++w) {
+    const DesignReads& r = seen[static_cast<std::size_t>(w)];
+    EXPECT_EQ(r.macros, expected.macros) << "worker " << w;
+    EXPECT_EQ(r.movable_macros, expected.movable_macros) << "worker " << w;
+    EXPECT_EQ(r.std_cells, expected.std_cells) << "worker " << w;
+    EXPECT_EQ(r.pads, expected.pads) << "worker " << w;
+    EXPECT_EQ(r.node_nets, expected.node_nets) << "worker " << w;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the incremental/ECO regulate preset (src/place/regulate_placer)
 // and the schema-2 job model behind it: trust-region contracts (radius,
-// frozen, HPWL <= legal input), bit-identity across thread counts and the
-// shared inference engine, JobSpec v1/v2 schema versioning (v1 canonical
+// frozen, HPWL <= legal input), bit-identity across thread counts and
+// eval-batch sizes, JobSpec v1/v2 schema versioning (v1 canonical
 // bytes — and so content-hash job IDs — must not change), the shared preset
 // name table every front end resolves through, and the warm-artifact ECO
 // path of the service (a resubmitted regulate job must reuse the cached
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "benchgen/generator.hpp"
-#include "infer/engine.hpp"
 #include "io/bookshelf.hpp"
 #include "par/par.hpp"
 #include "place/placer.hpp"
@@ -248,20 +247,6 @@ TEST(Regulate, BitIdenticalAcrossEvalBatchSizes) {
   EXPECT_EQ(a.hpwl, b.hpwl);
   EXPECT_EQ(a.moved_groups, b.moved_groups);
   EXPECT_TRUE(same_positions(positions(serial), positions(batched)));
-}
-
-TEST(Regulate, BitIdenticalWithAndWithoutInferEngine) {
-  netlist::Design off = eco_input();
-  netlist::Design on = off;
-  place::PlacerSpec spec =
-      place::spec_from_preset(place::Preset::kRegulate, fast_knobs());
-  const place::PlaceResult a = place::run(off, spec);
-  infer::InferenceEngine engine;
-  spec.regulate.mcts.infer_engine = &engine;
-  const place::PlaceResult b = place::run(on, spec);
-  EXPECT_EQ(a.hpwl, b.hpwl);
-  EXPECT_EQ(a.moved_groups, b.moved_groups);
-  EXPECT_TRUE(same_positions(positions(off), positions(on)));
 }
 
 // ---------------------------------------------------------------------------

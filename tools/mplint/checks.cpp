@@ -43,10 +43,6 @@ const char kIo[] = "io";
 const char* const kResultDirs[] = {
     "src/mcts/",    "src/rl/",   "src/gp/",    "src/qp/",     "src/legal/",
     "src/nn/",      "src/place/", "src/grid/", "src/netlist/", "src/linalg/",
-    // The inference engine affects WHEN batches run, never what they
-    // compute; its one legitimate timer (the coalescing wait) carries a
-    // justified wall-clock allow rather than a directory exemption.
-    "src/infer/",
 };
 
 /// Timing-legitimate homes, listed explicitly even where disjoint from the
