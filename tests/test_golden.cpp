@@ -1,7 +1,8 @@
 // Golden placement table: committed (placement fingerprint, HPWL bit
 // pattern) pairs for the MCTS search in every leaf-evaluation mode at
-// eval_batch 1 and 4, for the mcts and regulate presets through place::run
-// at 1 and 4 threads, and for one job through a 2-worker LocalService.
+// eval_batch 1 and 4, for every preset through place::run (the RL presets
+// at 1 and 4 threads, cold and on a PreparedFlow; the baselines at 4), and
+// for one job through a 2-worker LocalService.
 // The pairwise tests elsewhere check A ≡ B; this one checks against answers
 // stored before a change, so a refactor that must keep today's placements
 // cannot move both sides of a comparison together.
@@ -53,8 +54,16 @@ const std::vector<GoldenRow> kFmaRows = {
     {"mcts.rollout.b4", 0xa10d0642579f6d6cull, 0x40e27ca4c30605ccull},
     {"place.mcts.t1", 0xc243f702cd2b4058ull, 0x40eed853e06e5cf6ull},
     {"place.mcts.t4", 0xc243f702cd2b4058ull, 0x40eed853e06e5cf6ull},
+    {"place.rl_only.t1", 0x4a1c9f37fa0fcb94ull, 0x40f0693f548036d9ull},
+    {"place.rl_only.t4", 0x400e21957010c22bull, 0x40ee0e954f0985efull},
     {"place.regulate.t1", 0x9c73108cb128f681ull, 0x40f174c4eeb1da3eull},
     {"place.regulate.t4", 0x600409f77fab22ecull, 0x40f156d16ca0e43dull},
+    {"place.sa.t4", 0x82b87a3a4c836f1bull, 0x40f0cf6ac2619e65ull},
+    {"place.wiremask.t4", 0xa45507a2e3df9365ull, 0x40f0cf42a24e1130ull},
+    {"place.analytic.t4", 0x9c73108cb128f681ull, 0x40f0d3993e6768eaull},
+    {"place.mcts.warm", 0xc243f702cd2b4058ull, 0x40eed853e06e5cf6ull},
+    {"place.rl_only.warm", 0x400e21957010c22bull, 0x40ee0e954f0985efull},
+    {"place.regulate.warm", 0x600409f77fab22ecull, 0x40f156d16ca0e43dull},
     {"svc.mcts.w2", 0xc907d16358d16ef5ull, 0x40ef2902a487b25cull},
 };
 
@@ -68,8 +77,16 @@ const std::vector<GoldenRow> kPlainRows = {
     {"mcts.rollout.b4", 0xfd19e8890c78e3f3ull, 0x40e2a91da28bed67ull},
     {"place.mcts.t1", 0x40ad9e28d327f729ull, 0x40efd8a302ca7b82ull},
     {"place.mcts.t4", 0x40ad9e28d327f729ull, 0x40efd8a302ca7b82ull},
+    {"place.rl_only.t1", 0x5e92178ede91795aull, 0x40efb05017d1c454ull},
+    {"place.rl_only.t4", 0x59d3b17f4b9e7ba2ull, 0x40ee0e954f0985ecull},
     {"place.regulate.t1", 0x0896b662f9a57e46ull, 0x40f08f4b3620cefbull},
     {"place.regulate.t4", 0xb25a2d16d8f4b146ull, 0x40f079b13f952b6eull},
+    {"place.sa.t4", 0x2198ffcbd9f1c42cull, 0x40f077c674b0540full},
+    {"place.wiremask.t4", 0xd6dce36feed62610ull, 0x40f0cf42a24e1131ull},
+    {"place.analytic.t4", 0x0896b662f9a57e46ull, 0x40ef63e628bd19b5ull},
+    {"place.mcts.warm", 0x40ad9e28d327f729ull, 0x40efd8a302ca7b82ull},
+    {"place.rl_only.warm", 0x59d3b17f4b9e7ba2ull, 0x40ee0e954f0985ecull},
+    {"place.regulate.warm", 0xb25a2d16d8f4b146ull, 0x40f079b13f952b6eull},
     {"svc.mcts.w2", 0x3fe7f46821a8d778ull, 0x40ef62c4bebf00bfull},
 };
 
@@ -205,9 +222,9 @@ TEST(Golden, MctsSearchEveryLeafModeAndBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// place::run: the paper flow and the ECO flow at 1 and 4 threads.  One
-// thread trains on the serial self-play loop and more threads on parallel
-// windows, so 1- and 4-thread rows may differ (docs/PARALLELISM.md).
+// place::run: every preset, the RL ones at 1 and 4 threads.  One thread
+// trains on the serial self-play loop and more threads on parallel windows,
+// so 1- and 4-thread rows may differ (docs/PARALLELISM.md).
 
 place::PresetKnobs tiny_knobs() {
   place::PresetKnobs knobs;
@@ -257,8 +274,45 @@ TEST(Golden, PlaceRunPresetsAtOneAndFourThreads) {
   expect_golden({
       run_preset("place.mcts.t1", place::Preset::kMcts, fresh, 1),
       run_preset("place.mcts.t4", place::Preset::kMcts, fresh, 4),
+      run_preset("place.rl_only.t1", place::Preset::kRlOnly, fresh, 1),
+      run_preset("place.rl_only.t4", place::Preset::kRlOnly, fresh, 4),
       run_preset("place.regulate.t1", place::Preset::kRegulate, eco, 1),
       run_preset("place.regulate.t4", place::Preset::kRegulate, eco, 4),
+  });
+}
+
+TEST(Golden, BaselinePresetsAtFourThreads) {
+  const netlist::Design fresh = benchgen::generate(tiny_design_spec());
+  expect_golden({
+      run_preset("place.sa.t4", place::Preset::kSa, fresh, 4),
+      run_preset("place.wiremask.t4", place::Preset::kWiremask, fresh, 4),
+      run_preset("place.analytic.t4", place::Preset::kAnalytic, fresh, 4),
+  });
+}
+
+/// place::run at 4 threads on a PreparedFlow: prepare_flow for the
+/// from-scratch presets, prepare_regulate_flow for regulate (the warm
+/// artifacts of the placement service).
+GoldenRow run_prepared(const char* name, place::Preset preset,
+                       netlist::Design design) {
+  ThreadGuard guard(4);
+  const place::PlacerSpec spec = place::spec_from_preset(preset, tiny_knobs());
+  place::PreparedFlow prepared{
+      preset == place::Preset::kRegulate
+          ? place::prepare_regulate_flow(design, spec.regulate.flow)
+          : place::prepare_flow(design, spec.mcts_rl.flow)};
+  const place::PlaceResult r = place::run(design, spec, &prepared);
+  EXPECT_TRUE(r.finalized) << name;
+  return {name, svc::placement_fingerprint(design), bits_of(r.hpwl)};
+}
+
+TEST(Golden, PlaceRunOnPreparedFlow) {
+  const netlist::Design fresh = benchgen::generate(tiny_design_spec());
+  const netlist::Design eco = eco_input();
+  expect_golden({
+      run_prepared("place.mcts.warm", place::Preset::kMcts, fresh),
+      run_prepared("place.rl_only.warm", place::Preset::kRlOnly, fresh),
+      run_prepared("place.regulate.warm", place::Preset::kRegulate, eco),
   });
 }
 
