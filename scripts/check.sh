@@ -9,17 +9,23 @@
 #      hygiene.  Runs first because it is by far the cheapest gate — a
 #      finding fails the run before any sanitizer tree configures.  Needs
 #      only a C++17 compiler; works on the plain-gcc container.
-#   2. A Debug build with AddressSanitizer + UndefinedBehaviorSanitizer and
+#   2. The benchmark program: configures mpbench/ (its own CMake project,
+#      which compiles the library sources under src/) into
+#      build-check/mpbench, builds the mpbench and mpbench_tests targets and
+#      runs mpbench_tests.  No other stage compiles mpbench/main.cpp, so
+#      without it an API slip in src/place would first show up as a
+#      benchmark run_failed.
+#   3. A Debug build with AddressSanitizer + UndefinedBehaviorSanitizer and
 #      -Werror, then the full ctest suite under it at MP_VALIDATE_LEVEL=2 so
 #      the deep structural validators are exercised together with the
 #      sanitizers.
-#   3. A service smoke under the same ASan/UBSan build: boots mp_serve on a
+#   4. A service smoke under the same ASan/UBSan build: boots mp_serve on a
 #      throwaway socket, pushes a 4-job mixed-preset smoke through
 #      mp_submit — including a schema-2 ECO (regulate) job submitted twice,
 #      whose resubmission must hit the placement and prepared-artifact
 #      caches — then SIGTERMs the daemon and verifies a clean drain (all
 #      jobs done, exit 0, socket unlinked) — see docs/SERVICE.md.
-#   4. A ThreadSanitizer build (its own tree — TSan cannot be combined with
+#   5. A ThreadSanitizer build (its own tree — TSan cannot be combined with
 #      ASan) running the `par`-, `svc`-, `obs`-, `net`- and `eco`-labelled
 #      suites (ctest -L "par|svc|obs|net|eco") at MP_THREADS=4
 #      MP_WORKERS=4: the thread pool, the golden placement table, the
@@ -30,10 +36,10 @@
 #      (docs/SERVICE.md).  This leg is on by DEFAULT; pass --tsan to run the
 #      FULL suite under TSan instead (slower), or --no-tsan to skip the
 #      TSan leg entirely.
-#   5. Schema validation of the committed perf artifacts
+#   6. Schema validation of the committed perf artifacts
 #      (results/BENCH_*.json) via scripts/validate_bench_json.py — stdlib
 #      python only, skipped with a notice when none are present.
-#   6. clang-tidy over the compile database, when clang-tidy is installed.
+#   7. clang-tidy over the compile database, when clang-tidy is installed.
 #      Skipped with a notice otherwise (the container ships gcc only).
 #
 # Build trees live under build-check/ and are reused across runs; use
@@ -56,9 +62,10 @@ for arg in "$@"; do
       echo "usage: scripts/check.sh [--tsan|--no-tsan] [--fresh]"
       echo
       echo "Stages, in order: mplint static analysis (fails fast; also"
-      echo "reachable as 'cmake --build build --target lint'), ASan/UBSan"
-      echo "build + full ctest, mp_serve smoke, TSan leg, bench-artifact"
-      echo "schema validation, clang-tidy (when installed)."
+      echo "reachable as 'cmake --build build --target lint'), mpbench build"
+      echo "+ mpbench_tests, ASan/UBSan build + full ctest, mp_serve smoke,"
+      echo "TSan leg, bench-artifact schema validation, clang-tidy (when"
+      echo "installed)."
       echo
       echo "  --tsan     run the FULL suite under TSan (default: par|svc|obs|net|eco)"
       echo "  --no-tsan  skip the TSan leg"
@@ -187,6 +194,18 @@ run_lint() {
   "${dir}/tools/mplint/mplint" --root "${ROOT}"
 }
 
+# Stage 2: the benchmark program, built from its own CMake project exactly
+# as mpbench/run.py builds it, plus the tests of its helpers.
+run_mpbench_build() {
+  local dir="build-check/mpbench"
+  [[ "${FRESH}" == 1 ]] && rm -rf "${dir}"
+  note "mpbench: configure + build (mpbench, mpbench_tests)"
+  cmake -B "${dir}" -S mpbench >/dev/null
+  cmake --build "${dir}" --target mpbench mpbench_tests -j "${JOBS}"
+  note "mpbench: mpbench_tests"
+  "${dir}/mpbench_tests"
+}
+
 # Fleet smoke under the same ASan/UBSan build (docs/DISTRIBUTED.md): two
 # TCP backends behind an mp_route coordinator.  Submits one job through the
 # router, kills the backend that ran it, then submits a second job and asks
@@ -280,6 +299,7 @@ fleet_smoke() {
 }
 
 run_lint
+run_mpbench_build
 run_sanitized asan "address;undefined"
 note "svc: mp_serve smoke (2 jobs + SIGTERM drain, ASan/UBSan)"
 svc_smoke

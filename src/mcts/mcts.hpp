@@ -51,10 +51,11 @@ struct MctsOptions {
 
   /// Optional warm-start lines: full action sequences (one action per macro
   /// group) walked, evaluated and backed up before the search starts, each
-  /// with `seed_visits` virtual visits.  mcts_rl_place() seeds the
-  /// analytic-placement-derived allocation and the best training episode —
-  /// standing in for the prior a fully pre-trained agent would provide (the
-  /// paper trains 3-10 h; see DESIGN.md "Substitutions").
+  /// with `seed_visits` virtual visits.  place::run's mcts preset (with
+  /// analytic_guidance) seeds the analytic-placement-derived allocation and
+  /// the best training episode — standing in for the prior a fully
+  /// pre-trained agent would provide (the paper trains 3-10 h; see
+  /// DESIGN.md "Substitutions"); the regulate preset seeds the incumbent.
   std::vector<std::vector<int>> seed_paths;
   int seed_visits = 4;
 

@@ -1,21 +1,17 @@
-#include "place/analytic_placer.hpp"
+#include "place/detail.hpp"
 
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mp::place {
 
 namespace detail {
 
-AnalyticResult analytic_place(netlist::Design& design,
-                              const AnalyticOptions& options) {
-  AnalyticResult result;
-  util::Timer timer;
-  const gp::GlobalPlaceResult mixed = gp::global_place(design, options.mixed_gp);
-  result.mixed_overflow = mixed.overflow_ratio;
+PlaceResult analytic_place(netlist::Design& design,
+                           const AnalyticOptions& options) {
+  PlaceResult result;
+  gp::global_place(design, options.mixed_gp);
   legal::legalize_flat(design, options.legalize);
   result.hpwl = place_cells_and_measure(design, options.final_gp);
-  result.seconds = timer.seconds();
   util::log_info() << "analytic_place: hpwl=" << result.hpwl;
   return result;
 }

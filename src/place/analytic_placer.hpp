@@ -9,28 +9,9 @@
 namespace mp::place {
 
 struct AnalyticOptions {
-  gp::GlobalPlaceOptions mixed_gp = [] {
-    gp::GlobalPlaceOptions o;
-    o.move_macros = true;
-    o.max_iterations = 16;
-    return o;
-  }();
+  gp::GlobalPlaceOptions mixed_gp = mixed_size_gp(16);
   gp::GlobalPlaceOptions final_gp;
   legal::MacroLegalizeOptions legalize;
 };
-
-struct AnalyticResult {
-  double hpwl = 0.0;
-  double seconds = 0.0;
-  double mixed_overflow = 0.0;
-};
-
-namespace detail {
-
-/// Flow plumbing behind place::run (Preset::kAnalytic) — not public API.
-AnalyticResult analytic_place(netlist::Design& design,
-                              const AnalyticOptions& options = {});
-
-}  // namespace detail
 
 }  // namespace mp::place

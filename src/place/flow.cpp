@@ -5,22 +5,18 @@
 #include "dp/detailed.hpp"
 #include "dp/row_legalizer.hpp"
 #include "obs/obs.hpp"
+#include "place/detail.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace mp::place {
 
-FlowContext prepare_flow(netlist::Design& design, const FlowOptions& options) {
-  MP_OBS_SPAN("flow.prepare");
-  util::Timer timer;
-  {
-    MP_OBS_SPAN("flow.initial_gp");
-    gp::GlobalPlaceOptions initial_gp = options.initial_gp;
-    if (options.cancel.valid()) initial_gp.cancel = options.cancel;
-    gp::global_place(design, initial_gp);
-  }
-  util::log_info() << "prepare_flow: initial GP in " << timer.seconds() << "s";
+namespace {
 
+// ζ×ζ grid partition, clustering and coarse netlist on the design's current
+// positions — the part of preprocessing both prepare functions share.
+FlowContext cluster_flow(const netlist::Design& design,
+                         const FlowOptions& options) {
   FlowContext context{
       grid::GridSpec(design.region(), options.grid_dim),
       {},
@@ -34,6 +30,23 @@ FlowContext prepare_flow(netlist::Design& design, const FlowOptions& options) {
                static_cast<double>(context.clustering.macro_groups.size()));
   MP_OBS_GAUGE("flow.cell_groups",
                static_cast<double>(context.clustering.cell_groups.size()));
+  return context;
+}
+
+}  // namespace
+
+FlowContext prepare_flow(netlist::Design& design, const FlowOptions& options) {
+  MP_OBS_SPAN("flow.prepare");
+  util::Timer timer;
+  {
+    MP_OBS_SPAN("flow.initial_gp");
+    gp::GlobalPlaceOptions initial_gp = options.initial_gp;
+    if (options.cancel.valid()) initial_gp.cancel = options.cancel;
+    gp::global_place(design, initial_gp);
+  }
+  util::log_info() << "prepare_flow: initial GP in " << timer.seconds() << "s";
+
+  FlowContext context = cluster_flow(design, options);
   check::validate_positions_finite(design, "flow.prepare");
   if (check::validate_level() >= 1) {
     // Every macro group must carry a positive footprint and every original
@@ -52,6 +65,12 @@ FlowContext prepare_flow(netlist::Design& design, const FlowOptions& options) {
     }
   }
   return context;
+}
+
+FlowContext prepare_regulate_flow(const netlist::Design& design,
+                                  const FlowOptions& options) {
+  MP_OBS_SPAN("flow.prepare_regulate");
+  return cluster_flow(design, options);
 }
 
 double finalize_placement(netlist::Design& design, FlowContext& context,
@@ -81,11 +100,7 @@ double finalize_placement(netlist::Design& design, FlowContext& context,
     MP_OBS_COUNT("flow.refine_rounds", 1);
     const std::vector<netlist::NodeId>& movable = design.movable_macros();
     if (movable.empty()) break;
-    std::vector<geometry::Point> snapshot;
-    snapshot.reserve(design.num_nodes());
-    for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-      snapshot.push_back(design.node(static_cast<netlist::NodeId>(i)).position);
-    }
+    const std::vector<geometry::Point> snapshot = detail::positions_of(design);
 
     // Widen the allowed displacement each round (1x, 2x, 4x, ... cells).
     const double widen =
@@ -105,9 +120,7 @@ double finalize_placement(netlist::Design& design, FlowContext& context,
     const double refined = place_cells_and_measure(design, final_gp);
     if (refined >= hpwl) {
       // Roll back and try the next (wider) round.
-      for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-        design.node(static_cast<netlist::NodeId>(i)).position = snapshot[i];
-      }
+      detail::restore_positions(design, snapshot);
       continue;
     }
     MP_OBS_COUNT("flow.refine_rounds_accepted", 1);
@@ -142,5 +155,25 @@ double place_cells_and_measure(netlist::Design& design,
   const gp::GlobalPlaceResult r = gp::global_place(design, o);
   return r.hpwl;
 }
+
+namespace detail {
+
+std::vector<geometry::Point> positions_of(const netlist::Design& design) {
+  std::vector<geometry::Point> positions;
+  positions.reserve(design.num_nodes());
+  for (std::size_t i = 0; i < design.num_nodes(); ++i) {
+    positions.push_back(design.node(static_cast<netlist::NodeId>(i)).position);
+  }
+  return positions;
+}
+
+void restore_positions(netlist::Design& design,
+                       const std::vector<geometry::Point>& positions) {
+  for (std::size_t i = 0; i < design.num_nodes(); ++i) {
+    design.node(static_cast<netlist::NodeId>(i)).position = positions[i];
+  }
+}
+
+}  // namespace detail
 
 }  // namespace mp::place

@@ -2,7 +2,7 @@
 // Shared flow plumbing (preprocessing and postprocessing stages of
 // Algorithm 1): initial analytical placement, grid partition, clustering,
 // coarse netlist, and the finalize step (macro legalization + cell placement
-// + HPWL measurement).  Both the MCTS+RL placer and the RL-only baseline run
+// + HPWL measurement).  The three RL presets (mcts, rl_only, regulate) run
 // on top of this context.
 
 #include "cluster/coarse.hpp"
@@ -12,22 +12,22 @@
 
 namespace mp::place {
 
+/// Mixed-size global placement options: macros move together with the
+/// cells for `max_iterations` iterations.
+inline gp::GlobalPlaceOptions mixed_size_gp(int max_iterations) {
+  gp::GlobalPlaceOptions o;
+  o.move_macros = true;
+  o.max_iterations = max_iterations;
+  return o;
+}
+
 struct FlowOptions {
   int grid_dim = 16;  ///< ζ (paper: 16)
   cluster::ClusterParams cluster;
   /// Mixed-size initial placement that seeds clustering distances.
-  gp::GlobalPlaceOptions initial_gp = [] {
-    gp::GlobalPlaceOptions o;
-    o.move_macros = true;
-    o.max_iterations = 8;
-    return o;
-  }();
+  gp::GlobalPlaceOptions initial_gp = mixed_size_gp(8);
   /// Final cell placement with macros fixed (DREAMPlace role, Sec. II-C).
-  gp::GlobalPlaceOptions final_gp = [] {
-    gp::GlobalPlaceOptions o;
-    o.move_macros = false;
-    return o;
-  }();
+  gp::GlobalPlaceOptions final_gp;
   legal::MacroLegalizeOptions legalize;
   /// Post-legalization refinement rounds: each round places cells, re-solves
   /// the macro QP with cells fixed (displacement bounded to
@@ -58,6 +58,15 @@ struct FlowContext {
 /// Runs the preprocessing stage: initial global placement (mutates node
 /// positions), ζ×ζ grid partition, clustering, coarse netlist.
 FlowContext prepare_flow(netlist::Design& design, const FlowOptions& options);
+
+/// Preprocessing for the regulate flow: ζ×ζ grid partition, clustering and
+/// coarse netlist on the *incumbent* positions — unlike prepare_flow there
+/// is no initial global placement, so `design` is not mutated and the input
+/// placement survives to seed the clustering distances and the trust
+/// region.  Cacheable per (design bytes, placement bytes, grid_dim) — the
+/// service's warm ECO path (src/svc/cache.hpp).
+FlowContext prepare_regulate_flow(const netlist::Design& design,
+                                  const FlowOptions& options);
 
 /// Postprocessing: legalizes macros from the group `anchors` (Sec. II-B),
 /// places cells with the analytical placer (Sec. II-C) and returns the final

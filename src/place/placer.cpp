@@ -2,39 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "par/par.hpp"
-#include "place/rl_only_placer.hpp"
+#include "place/detail.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace mp::place {
 
-namespace {
+namespace detail {
 
-// A valid top-level token overrides the per-stage tokens, so one token
-// cancels the whole flow regardless of which stage is running.
-MctsRlOptions propagate_cancel(const MctsRlOptions& options) {
-  if (!options.cancel.valid()) return options;
-  MctsRlOptions o = options;
-  o.flow.cancel = o.cancel;
-  o.train.cancel = o.cancel;
-  o.mcts.cancel = o.cancel;
-  return o;
+grid::CellCoord group_anchor(const grid::GridSpec& spec,
+                             const cluster::Group& group) {
+  const grid::CellCoord fp = spec.footprint_cells(group.width, group.height);
+  grid::CellCoord c = spec.cell_of({group.centroid.x - group.width / 2.0,
+                                    group.centroid.y - group.height / 2.0});
+  c.gx = std::max(0, std::min(c.gx, spec.dim() - fp.gx));
+  c.gy = std::max(0, std::min(c.gy, spec.dim() - fp.gy));
+  return c;
 }
 
-// Algorithm 1 lines 3-16 on a prepared context.  Owns no telemetry window;
-// `options` must already have cancel propagated.
-MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
-                                const MctsRlOptions& options) {
-  MctsRlResult result;
-  util::Timer total_timer;
-  result.macro_groups = static_cast<int>(context.clustering.macro_groups.size());
-  result.cell_groups = static_cast<int>(context.clustering.cell_groups.size());
+std::vector<grid::CellCoord> train_then_search(const RlFlowOptions& options,
+                                               FlowContext& context,
+                                               const SearchPlan& plan,
+                                               PlaceResult& result) {
+  const grid::GridSpec& spec = context.spec;
+  const cluster::Clustering& clustering = context.clustering;
+  result.macro_groups = static_cast<int>(clustering.macro_groups.size());
+  result.cell_groups = static_cast<int>(clustering.cell_groups.size());
+  if (options.train.cancel.cancelled()) {  // cancelled while preparing
+    result.cancelled = true;
+    return {};
+  }
 
   // --- RL pre-training (lines 3-10) ---
   rl::AgentConfig agent_config = options.agent;
@@ -43,8 +45,9 @@ MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
   if (!options.initial_parameters.empty()) {
     nn::restore_parameters(agent.parameters(), options.initial_parameters);
   }
-  rl::PlacementEnv env(context.coarse, context.clustering, context.spec);
-  rl::CoarseEvaluator evaluator(context.coarse, context.spec);
+  rl::PlacementEnv env(context.coarse, clustering, spec);
+  if (plan.mask) env.set_allowed_actions(plan.mask);
+  rl::CoarseEvaluator evaluator(context.coarse, spec);
 
   util::Timer train_timer;
   {
@@ -52,53 +55,52 @@ MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
     result.train_result = rl::train_agent(env, evaluator, agent, options.train);
   }
   result.train_seconds = train_timer.seconds();
-  if (result.train_result.cancelled) {
+  const rl::TrainResult& trained = result.train_result;
+  if (trained.cancelled) {
     result.cancelled = true;
-    result.total_seconds = total_timer.seconds();
-    util::log_info() << "mcts_rl_place: cancelled during pre-training";
-    return result;
+    return {};
+  }
+
+  if (plan.greedy) {
+    // Fall back to the best training-time allocation if the greedy rollout
+    // is worse (CT also reports its best seen placement).
+    std::vector<grid::CellCoord> anchors;
+    result.coarse_wirelength =
+        rl::play_greedy_episode(env, evaluator, agent, anchors);
+    if (!trained.best_anchors.empty() &&
+        trained.best_wirelength < result.coarse_wirelength) {
+      anchors = trained.best_anchors;
+      result.coarse_wirelength = trained.best_wirelength;
+    }
+    return anchors;
   }
 
   // --- MCTS placement optimization (lines 11-15) ---
   rl::RewardFn reward = options.train.reward;
-  if (!reward) {
-    reward = result.train_result.calibration.make_reward(options.train.alpha);
-  }
+  if (!reward) reward = trained.calibration.make_reward(options.train.alpha);
   mcts::MctsOptions mcts_options = options.mcts;
-  if (options.analytic_guidance) {
-    // Anchor suggestion per group from the initial analytical placement
-    // (the clustering centroids), clamped so the footprint stays on-chip.
-    std::vector<int> analytic_path;
-    std::vector<geometry::Point> targets;
-    for (const cluster::Group& group : context.clustering.macro_groups) {
-      const grid::CellCoord fp =
-          context.spec.footprint_cells(group.width, group.height);
-      grid::CellCoord c = context.spec.cell_of(
-          {group.centroid.x - group.width / 2.0,
-           group.centroid.y - group.height / 2.0});
-      c.gx = std::min(c.gx, context.spec.dim() - fp.gx);
-      c.gy = std::min(c.gy, context.spec.dim() - fp.gy);
-      analytic_path.push_back(context.spec.flat_index(c));
-      targets.push_back(group.centroid);
-    }
-    mcts_options.seed_paths.push_back(std::move(analytic_path));
-    if (!result.train_result.best_anchors.empty()) {
-      std::vector<int> best_path;
-      for (const grid::CellCoord& c : result.train_result.best_anchors) {
-        best_path.push_back(context.spec.flat_index(c));
+  if (plan.mask) mcts_options.auto_commit_forced = true;
+  if (!plan.guide.empty()) {
+    const auto path_of = [&spec](const std::vector<grid::CellCoord>& anchors) {
+      std::vector<int> path;
+      path.reserve(anchors.size());
+      for (const grid::CellCoord& c : anchors) {
+        path.push_back(spec.flat_index(c));
       }
-      mcts_options.seed_paths.push_back(std::move(best_path));
+      return path;
+    };
+    mcts_options.seed_paths.push_back(path_of(plan.guide));
+    if (!trained.best_anchors.empty()) {
+      mcts_options.seed_paths.push_back(path_of(trained.best_anchors));
     }
-    // Prior bias: prefer anchors near the group's analytical position.
-    const double temperature = 0.15 * design.region().w;
-    const grid::GridSpec spec = context.spec;
-    mcts_options.prior_bonus = [targets, spec, temperature](int step,
-                                                            int action) {
+    mcts_options.prior_bonus = [targets = plan.targets, spec,
+                                temperature = plan.temperature](int step,
+                                                                int action) {
       if (step < 0 || step >= static_cast<int>(targets.size())) return 1.0;
       const geometry::Point anchor =
           spec.cell_rect(spec.coord(action)).center();
-      const double dist = geometry::manhattan(anchor,
-                                              targets[static_cast<std::size_t>(step)]);
+      const double dist = geometry::manhattan(
+          anchor, targets[static_cast<std::size_t>(step)]);
       return std::exp(-dist / temperature) + 1e-4;
     };
   }
@@ -111,72 +113,131 @@ MctsRlResult place_from_context(netlist::Design& design, FlowContext& context,
   result.mcts_seconds = mcts_timer.seconds();
   result.coarse_wirelength = result.mcts_result.wirelength;
   result.cancelled = result.mcts_result.cancelled;
+  return result.mcts_result.anchors;
+}
+
+}  // namespace detail
+
+namespace {
+
+// Root span and run-report label of a cold RL run; also tags its log line.
+const char* run_label(Preset preset) {
+  switch (preset) {
+    case Preset::kRlOnly: return "rl_only_place";
+    case Preset::kRegulate: return "regulate_place";
+    default: return "mcts_rl_place";
+  }
+}
+
+// The knob-derived part of one RL preset's options, for `episodes` of
+// training (`min_window` and `min_calibration` floor the derived update
+// window and calibration episode count).
+void apply_knobs(RlFlowOptions& o, const PresetKnobs& knobs, int episodes,
+                 int min_window, int min_calibration) {
+  o.flow.grid_dim = knobs.grid;
+  o.agent.channels = knobs.channels;
+  o.agent.res_blocks = knobs.blocks;
+  o.train.episodes = episodes;
+  o.train.update_window = std::min(30, std::max(min_window, episodes / 6));
+  o.train.calibration_episodes = std::max(min_calibration, episodes / 3);
+  o.mcts.explorations_per_move = knobs.gamma;
+  if (knobs.seed != 0) {
+    o.train.seed = knobs.seed;
+    o.mcts.seed = knobs.seed + 1;
+  }
+}
+
+// mcts and rl_only: train, search (or play greedily), legalize, place cells.
+void place_from_scratch(netlist::Design& design, FlowContext& context,
+                        const PlacerSpec& spec, const RlFlowOptions& options,
+                        PlaceResult& result) {
+  detail::SearchPlan plan;
+  plan.greedy = spec.preset == Preset::kRlOnly;
+  if (!plan.greedy && spec.mcts_rl.analytic_guidance) {
+    // Seed and bias the search with each group's position in the initial
+    // analytical placement (the clustering centroids).
+    for (const cluster::Group& group : context.clustering.macro_groups) {
+      plan.guide.push_back(detail::group_anchor(context.spec, group));
+      plan.targets.push_back(group.centroid);
+    }
+    plan.temperature = 0.15 * design.region().w;
+  }
+  const std::vector<grid::CellCoord> anchors =
+      detail::train_then_search(options, context, plan, result);
 
   // --- Legalization + cell placement (line 16) ---
   // A cancelled search may still have found a complete allocation (best
   // terminal leaf, seed line); legalize it so the design ends legal even
-  // then.  Only a cancelled search with an incomplete allocation skips
+  // then.  Only a run cancelled before a complete allocation existed skips
   // finalize — positions then remain at the (finite) initial placement.
-  const bool complete_allocation =
-      static_cast<int>(result.mcts_result.anchors.size()) ==
-      result.macro_groups;
-  if (complete_allocation) {
-    result.hpwl = finalize_placement(design, context,
-                                     result.mcts_result.anchors, options.flow);
-    result.finalized = true;
+  result.finalized =
+      anchors.size() == static_cast<std::size_t>(result.macro_groups);
+  if (result.finalized) {
+    result.hpwl = finalize_placement(design, context, anchors, options.flow);
+    result.cancelled = result.cancelled || options.flow.cancel.cancelled();
   }
-  result.total_seconds = total_timer.seconds();
-  util::log_info() << "mcts_rl_place: hpwl=" << result.hpwl << " ("
-                   << result.macro_groups << " macro groups, train "
+  util::log_info() << run_label(spec.preset) << ": hpwl=" << result.hpwl
+                   << " (" << result.macro_groups << " macro groups, train "
                    << result.train_seconds << "s, mcts "
                    << result.mcts_seconds << "s)"
                    << (result.cancelled ? " [cancelled]" : "");
+}
+
+// Algorithm 1 lines 3-16 for an RL preset on a prepared context.  Owns no
+// telemetry window; `options` already carries the run's cancel token.
+PlaceResult place_prepared(netlist::Design& design, FlowContext& context,
+                           const PlacerSpec& spec,
+                           const RlFlowOptions& options) {
+  PlaceResult result;
+  if (spec.preset == Preset::kRegulate) {
+    detail::regulate_place(design, context, options, spec.regulate, result);
+  } else {
+    place_from_scratch(design, context, spec, options, result);
+  }
   MP_OBS_HIST("place.hpwl", result.hpwl);
   MP_OBS_GAUGE("place.coarse_wirelength", result.coarse_wirelength);
   MP_OBS_GAUGE("par.threads", static_cast<double>(par::current_threads()));
   return result;
 }
 
-}  // namespace
-
-namespace detail {
-
-MctsRlResult mcts_rl_place_prepared(netlist::Design& design,
-                                    FlowContext& context,
-                                    const MctsRlOptions& options) {
-  return place_from_context(design, context, propagate_cancel(options));
-}
-
-MctsRlResult mcts_rl_place(netlist::Design& design,
-                           const MctsRlOptions& options) {
-  // Each run owns one telemetry window: the registry is zeroed up front and
-  // serialized as one JSONL line at the end (MP_OBS_OUT; no-op when unset).
-  if (obs::enabled()) obs::reset_values();
-  const MctsRlOptions propagated = propagate_cancel(options);
-  util::Timer total_timer;
-  // optional<> so the root span can close before the report is serialized.
-  std::optional<obs::Span> run_span;
-  run_span.emplace("mcts_rl_place");
-
-  // --- Preprocessing (Algorithm 1, lines 1-2) ---
-  FlowContext context = prepare_flow(design, propagated.flow);
-  MctsRlResult result;
-  if (propagated.cancel.cancelled()) {
-    result.cancelled = true;
-    result.macro_groups =
-        static_cast<int>(context.clustering.macro_groups.size());
-    result.cell_groups = static_cast<int>(context.clustering.cell_groups.size());
-    util::log_info() << "mcts_rl_place: cancelled during preprocessing";
-  } else {
-    result = place_from_context(design, context, propagated);
+// The RL presets: cancel propagation, then either the warm path on a
+// PreparedFlow or the one cold path that prepares the flow itself.
+PlaceResult run_rl(netlist::Design& design, const PlacerSpec& spec,
+                   PreparedFlow* prepared) {
+  const bool regulate = spec.preset == Preset::kRegulate;
+  // The run's one copy of the options: a valid top-level token cancels the
+  // whole flow, whichever stage is running.
+  RlFlowOptions options = regulate
+                              ? static_cast<const RlFlowOptions&>(spec.regulate)
+                              : static_cast<const RlFlowOptions&>(spec.mcts_rl);
+  if (spec.cancel.valid()) {
+    options.flow.cancel = spec.cancel;
+    options.train.cancel = spec.cancel;
+    options.mcts.cancel = spec.cancel;
   }
-  result.total_seconds = total_timer.seconds();
-  run_span.reset();
-  obs::write_run_report("mcts_rl_place");
+  if (prepared != nullptr) {
+    return place_prepared(design, prepared->context, spec, options);
+  }
+
+  // A cold run owns one telemetry window: the registry is zeroed up front
+  // and serialized as one JSONL line at the end (MP_OBS_OUT; no-op when
+  // unset).
+  if (obs::enabled()) obs::reset_values();
+  const char* label = run_label(spec.preset);
+  PlaceResult result;
+  {
+    obs::Span run_span(label);  // closes before the report is serialized
+    // --- Preprocessing (Algorithm 1, lines 1-2) ---
+    FlowContext context = regulate
+                              ? prepare_regulate_flow(design, options.flow)
+                              : prepare_flow(design, options.flow);
+    result = place_prepared(design, context, spec, options);
+  }
+  obs::write_run_report(label);
   return result;
 }
 
-}  // namespace detail
+}  // namespace
 
 // --- Unified placer API ---
 
@@ -218,131 +279,52 @@ bool parse_preset(const std::string& name, Preset& out) {
 PlacerSpec spec_from_preset(Preset preset, const PresetKnobs& knobs) {
   PlacerSpec spec;
   spec.preset = preset;
-  spec.mcts_rl.flow.grid_dim = knobs.grid;
-  spec.mcts_rl.agent.channels = knobs.channels;
-  spec.mcts_rl.agent.res_blocks = knobs.blocks;
-  spec.mcts_rl.train.episodes = knobs.episodes;
-  spec.mcts_rl.train.update_window =
-      std::min(30, std::max(3, knobs.episodes / 6));
-  spec.mcts_rl.train.calibration_episodes = std::max(5, knobs.episodes / 3);
-  spec.mcts_rl.mcts.explorations_per_move = knobs.gamma;
+  apply_knobs(spec.mcts_rl, knobs, knobs.episodes, 3, 5);
   // Regulate fine-tunes inside a trust region a fraction of the size of the
   // full action space, so it gets a fraction of the training budget — the
   // core of the regulator economy (runtime < from-scratch mcts at equal
   // knobs; see bench_eco).
-  const int regulate_episodes = std::max(4, knobs.episodes / 3);
-  spec.regulate.flow.grid_dim = knobs.grid;
-  spec.regulate.agent.channels = knobs.channels;
-  spec.regulate.agent.res_blocks = knobs.blocks;
-  spec.regulate.train.episodes = regulate_episodes;
-  spec.regulate.train.update_window =
-      std::min(30, std::max(2, regulate_episodes / 6));
-  spec.regulate.train.calibration_episodes = std::max(3, regulate_episodes / 3);
-  spec.regulate.mcts.explorations_per_move = knobs.gamma;
+  apply_knobs(spec.regulate, knobs, std::max(4, knobs.episodes / 3), 2, 3);
   spec.regulate.radius = knobs.regulate_radius;
   spec.regulate.max_moves = knobs.regulate_max_moves;
   spec.regulate.frozen = knobs.regulate_frozen;
-  if (knobs.seed != 0) {
-    spec.mcts_rl.train.seed = knobs.seed;
-    spec.mcts_rl.mcts.seed = knobs.seed + 1;
-    spec.regulate.train.seed = knobs.seed;
-    spec.regulate.mcts.seed = knobs.seed + 1;
-    spec.sa.seed = knobs.seed;
-  }
+  if (knobs.seed != 0) spec.sa.seed = knobs.seed;
   return spec;
 }
 
 PlaceResult run(netlist::Design& design, const PlacerSpec& spec,
                 PreparedFlow* prepared) {
-  PlaceResult result;
   util::Timer timer;
+  PlaceResult result;
+  // Baselines honor cancellation during their GP stages only; the core
+  // annealer/greedy loops run to completion.
   switch (spec.preset) {
-    case Preset::kMcts: {
-      MctsRlOptions o = spec.mcts_rl;
-      if (spec.cancel.valid()) o.cancel = spec.cancel;
-      MctsRlResult r =
-          prepared != nullptr
-              ? detail::mcts_rl_place_prepared(design, prepared->context, o)
-              : detail::mcts_rl_place(design, o);
-      result.hpwl = r.hpwl;
-      result.coarse_wirelength = r.coarse_wirelength;
-      result.macro_groups = r.macro_groups;
-      result.cell_groups = r.cell_groups;
-      result.cancelled = r.cancelled;
-      result.finalized = r.finalized;
-      result.train_seconds = r.train_seconds;
-      result.mcts_seconds = r.mcts_seconds;
-      result.train_result = std::move(r.train_result);
-      result.mcts_result = std::move(r.mcts_result);
-      break;
-    }
-    case Preset::kRlOnly: {
-      MctsRlOptions o = spec.mcts_rl;
-      if (spec.cancel.valid()) o.cancel = spec.cancel;
-      RlOnlyResult r =
-          prepared != nullptr
-              ? detail::rl_only_place_prepared(design, prepared->context, o)
-              : detail::rl_only_place(design, o);
-      result.hpwl = r.hpwl;
-      result.coarse_wirelength = r.coarse_wirelength;
-      result.macro_groups = r.macro_groups;
-      result.cancelled = r.cancelled;
-      result.finalized = r.finalized;
-      result.train_result = std::move(r.train_result);
-      break;
-    }
     case Preset::kSa: {
       SaOptions o = spec.sa;
-      // Baselines honor cancellation during their GP stages only; the core
-      // annealer/greedy loops run to completion.
       if (spec.cancel.valid()) o.initial_gp.cancel = spec.cancel;
-      const SaResult r = detail::sa_place(design, o);
-      result.hpwl = r.hpwl;
-      result.sa_accept_ratio = r.accept_ratio;
-      result.sa_final_cost = r.final_cost;
+      result = detail::sa_place(design, o);
       result.cancelled = spec.cancel.cancelled();
       break;
     }
     case Preset::kWiremask: {
       WiremaskOptions o = spec.wiremask;
       if (spec.cancel.valid()) o.initial_gp.cancel = spec.cancel;
-      const WiremaskResult r = detail::wiremask_place(design, o);
-      result.hpwl = r.hpwl;
-      result.wiremask_candidates = r.candidates_evaluated;
+      result = detail::wiremask_place(design, o);
       result.cancelled = spec.cancel.cancelled();
       break;
     }
     case Preset::kAnalytic: {
       AnalyticOptions o = spec.analytic;
       if (spec.cancel.valid()) o.mixed_gp.cancel = spec.cancel;
-      const AnalyticResult r = detail::analytic_place(design, o);
-      result.hpwl = r.hpwl;
-      result.analytic_mixed_overflow = r.mixed_overflow;
+      result = detail::analytic_place(design, o);
       result.cancelled = spec.cancel.cancelled();
       break;
     }
-    case Preset::kRegulate: {
-      RegulateOptions o = spec.regulate;
-      if (spec.cancel.valid()) o.cancel = spec.cancel;
-      RegulateResult r =
-          prepared != nullptr
-              ? detail::regulate_place_prepared(design, prepared->context, o)
-              : detail::regulate_place(design, o);
-      result.hpwl = r.hpwl;
-      result.coarse_wirelength = r.coarse_wirelength;
-      result.macro_groups = r.macro_groups;
-      result.cell_groups = r.cell_groups;
-      result.cancelled = r.cancelled;
-      result.finalized = r.finalized;
-      result.train_seconds = r.train_seconds;
-      result.mcts_seconds = r.mcts_seconds;
-      result.train_result = std::move(r.train_result);
-      result.mcts_result = std::move(r.mcts_result);
-      result.input_hpwl = r.input_hpwl;
-      result.moved_groups = r.moved_groups;
-      result.frozen_groups = r.frozen_groups;
+    case Preset::kMcts:
+    case Preset::kRlOnly:
+    case Preset::kRegulate:
+      result = run_rl(design, spec, prepared);
       break;
-    }
   }
   result.seconds = timer.seconds();
   return result;

@@ -6,9 +6,10 @@
 // hand, or from a preset name + knob set via spec_from_preset) and call
 // place::run().  One facade covers all six flows — the paper's MCTS flow,
 // the RL-only ablation, the SA / wiremask / analytic baselines, and the
-// incremental regulate flow (place/regulate_placer.hpp) — plus the
-// warm-start path on an already-prepared flow context.  The per-flow
-// functions live in place::detail and are implementation plumbing, not API
+// incremental regulate flow — plus the warm-start path on an
+// already-prepared flow context.  The three RL presets are one pipeline
+// with one stage swapped; the per-flow functions live in place::detail
+// (place/detail.hpp) and are implementation plumbing, not API
 // (docs/API.md).
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include "mcts/mcts.hpp"
 #include "place/analytic_placer.hpp"
 #include "place/flow.hpp"
-#include "place/regulate_placer.hpp"
 #include "place/sa_placer.hpp"
 #include "place/wiremask_placer.hpp"
 #include "rl/coarse_evaluator.hpp"
@@ -26,7 +26,8 @@
 
 namespace mp::place {
 
-struct MctsRlOptions {
+/// Options shared by the three RL presets (mcts, rl_only, regulate).
+struct RlFlowOptions {
   FlowOptions flow;
   rl::AgentConfig agent = [] {
     rl::AgentConfig c;
@@ -37,39 +38,55 @@ struct MctsRlOptions {
     return c;
   }();
   rl::TrainOptions train;
-  mcts::MctsOptions mcts;
+  mcts::MctsOptions mcts;  ///< ignored by rl_only
+  /// Pre-trained parameters restored into the freshly constructed agent
+  /// before training (the paper's pre-trained-policy setting; also the
+  /// service weights cache, src/svc/cache.hpp).  Shapes must match the
+  /// agent config; empty keeps the random initialization.
+  std::vector<nn::Tensor> initial_parameters;
+};
+
+/// The from-scratch RL presets: kMcts and kRlOnly.
+struct MctsRlOptions : RlFlowOptions {
   /// Warm-start the MCTS with the allocation induced by the initial
   /// analytical placement and the best training episode, and bias expansion
   /// priors toward each group's analytical position.  This stands in for the
   /// prior knowledge a fully pre-trained agent provides (the paper trains
   /// 3-10 h on GPU); set false for the paper's pure-π_θ search.
   bool analytic_guidance = true;
-  /// Pre-trained parameters restored into the freshly constructed agent
-  /// before training (the paper's pre-trained-policy setting; also the
-  /// service weights cache, src/svc/cache.hpp).  Shapes must match the
-  /// agent config; empty keeps the random initialization.
-  std::vector<nn::Tensor> initial_parameters;
-  /// Cooperative cancellation for the whole flow: when valid, it is
-  /// propagated into flow/train/mcts before running, and the flow stops at
-  /// the next stage or iteration boundary with MctsRlResult::cancelled set.
-  /// The design is always left with finite positions; when the search had
-  /// already produced a complete allocation it is legalized as usual, so a
-  /// cancelled run may still end in a fully legal placement.
-  util::CancelToken cancel;
 };
 
-struct MctsRlResult {
-  double hpwl = 0.0;             ///< final measured HPWL (Sec. II-C)
-  double coarse_wirelength = 0.0;///< MCTS allocation wirelength (coarse model)
-  double train_seconds = 0.0;
-  double mcts_seconds = 0.0;
-  double total_seconds = 0.0;
-  int macro_groups = 0;
-  int cell_groups = 0;
-  rl::TrainResult train_result;
-  mcts::MctsResult mcts_result;
-  bool cancelled = false;   ///< stopped early via MctsRlOptions::cancel
-  bool finalized = false;   ///< legalization + cell placement completed
+/// Incremental / ECO re-placement (kRegulate) — the macro-regulator flow of
+/// "RL Policy as Macro Regulator Rather than Macro Placer" (arXiv
+/// 2412.07167) mapped onto the MCTS-guided-by-RL pipeline: accept an
+/// existing legal placement (from any other preset, or a user-submitted
+/// .pl), fine-tune and search with every macro group confined to a trust
+/// region around its incumbent grid anchor, then re-legalize only the
+/// touched region (macros whose groups did not move keep their exact input
+/// coordinates).  The final HPWL never exceeds the legal input's.
+///
+/// The trust region is a per-group action mask (rl::PlacementEnv::
+/// set_allowed_actions): a Chebyshev-`radius` cell neighborhood of the
+/// incumbent anchor for movable groups, the incumbent cell alone for frozen
+/// ones.  Frozen steps are forced moves, which the search commits directly
+/// (mcts::MctsOptions::auto_commit_forced) so the whole exploration budget
+/// goes to the groups that may actually move.  `train` is the fine-tune
+/// budget: spec_from_preset derives a fraction of the from-scratch episode
+/// count, since the trust region shrinks the action space so far that a
+/// short run converges (the regulator paper's core economy).
+struct RegulateOptions : RlFlowOptions {
+  /// Trust region: movable groups may re-anchor within this Chebyshev cell
+  /// distance of their incumbent anchor (0 pins everything).
+  int radius = 2;
+  /// Macro names whose groups must not move (a frozen member freezes its
+  /// whole group).  Unknown names are warned about and ignored.
+  std::vector<std::string> frozen;
+  /// Upper bound on the number of groups allowed to move; 0 = unbounded.
+  /// When the movable count exceeds it, groups are ranked by incident
+  /// coarse-net HPWL ("tension", ties by group index) and only the top
+  /// max_moves stay movable — the ECO intuition that the worst-stretched
+  /// macros are the ones worth touching.
+  int max_moves = 0;
 };
 
 // --- Unified placer API ---
@@ -135,9 +152,13 @@ struct PlacerSpec {
   AnalyticOptions analytic;
   RegulateOptions regulate;
   /// Cooperative cancellation: when valid, propagated into the selected
-  /// flow's own cancel points before running (the whole RL/MCTS/regulate
-  /// flow; the GP stages of the baselines, whose core loops run to
-  /// completion).
+  /// flow's own cancel points before running (the flow, train and mcts
+  /// stages of the RL presets; the GP stages of the baselines, whose core
+  /// loops run to completion).  A cancelled RL run stops at the next stage
+  /// or iteration boundary with PlaceResult::cancelled set and always
+  /// leaves finite positions; when the search had already produced a
+  /// complete allocation it is legalized as usual.  A cancelled regulate
+  /// keeps the legal input placement.
   util::CancelToken cancel;
 };
 
@@ -159,10 +180,8 @@ struct PreparedFlow {
   FlowContext context;
 };
 
-/// Preset-independent result summary.  The flow-specific block after
-/// `finalized` is filled only by the flow that produced it and keeps its
-/// zero default otherwise — one flat struct instead of five result types,
-/// so callers of run() never need the per-flow entry points.
+/// The result of every flow.  Fields a flow does not produce keep their
+/// zero default.
 struct PlaceResult {
   double hpwl = 0.0;
   double coarse_wirelength = 0.0;  ///< RL flows only (0 for baselines)
@@ -184,35 +203,16 @@ struct PlaceResult {
   double sa_accept_ratio = 0.0;
   double sa_final_cost = 0.0;
   long long wiremask_candidates = 0;
-  double analytic_mixed_overflow = 0.0;
 };
 
 /// Runs the selected flow in place; `design` ends up fully placed (and
 /// legal, unless cancelled before a complete allocation existed).  With a
 /// PreparedFlow, the RL flows skip preprocessing and are bit-identical to
-/// the cold path at equal options.  Telemetry: the cold RL flows own a run
-/// window (reset + JSONL report); pass prepared (or wrap in an
-/// obs::ScopedContext) when the caller owns the window.
+/// the cold path at equal options.  Telemetry: a cold RL run owns a run
+/// window (registry reset, root span, one JSONL report labelled
+/// mcts_rl_place, rl_only_place or regulate_place); pass prepared (or wrap
+/// in an obs::ScopedContext) when the caller owns the window.
 PlaceResult run(netlist::Design& design, const PlacerSpec& spec,
                 PreparedFlow* prepared = nullptr);
-
-namespace detail {
-
-/// Per-flow plumbing behind run() — kept callable for the implementation
-/// files and white-box tests, but not part of the public API surface
-/// (docs/API.md documents run()/PlacerSpec only).
-MctsRlResult mcts_rl_place(netlist::Design& design,
-                           const MctsRlOptions& options = {});
-
-/// Runs the flow on an already-prepared context (Algorithm 1 lines 3-16):
-/// `design` must hold the initial placement that produced `context`.  Skips
-/// the obs run-report window management of mcts_rl_place (the caller owns
-/// the telemetry window); results are bit-identical to a cold mcts_rl_place
-/// at the same options.  options.flow.grid_dim must match context.spec.
-MctsRlResult mcts_rl_place_prepared(netlist::Design& design,
-                                    FlowContext& context,
-                                    const MctsRlOptions& options = {});
-
-}  // namespace detail
 
 }  // namespace mp::place

@@ -1,46 +1,22 @@
-#include "place/regulate_placer.hpp"
+// The regulate preset's own stages around the shared train-then-search
+// routine: the trust-region set-up and the finalize that keeps the HPWL at
+// or below the legal input's (RegulateOptions, place/placer.hpp).  Results
+// are deterministic: bit-identical across eval_batch settings and across
+// thread counts above one (one thread trains on the serial self-play loop),
+// same as every other preset.
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
 #include "check/check.hpp"
-#include "nn/serialize.hpp"
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
-#include "par/par.hpp"
+#include "place/detail.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mp::place {
 
 namespace {
-
-// One token cancels the whole flow (same contract as the mcts preset).
-RegulateOptions propagate_cancel(const RegulateOptions& options) {
-  if (!options.cancel.valid()) return options;
-  RegulateOptions o = options;
-  o.flow.cancel = o.cancel;
-  o.train.cancel = o.cancel;
-  o.mcts.cancel = o.cancel;
-  return o;
-}
-
-// Incumbent grid anchor of a group: the cell of its lower-left corner as
-// implied by the (area-weighted) member centroid, clamped so the footprint
-// stays on-chip — the same derivation the analytic guidance of the mcts
-// preset uses, so a regulate run on an mcts result starts from the anchors
-// that flow committed.
-grid::CellCoord incumbent_anchor(const grid::GridSpec& spec,
-                                 const cluster::Group& group) {
-  const grid::CellCoord fp = spec.footprint_cells(group.width, group.height);
-  grid::CellCoord c = spec.cell_of({group.centroid.x - group.width / 2.0,
-                                    group.centroid.y - group.height / 2.0});
-  c.gx = std::max(0, std::min(c.gx, spec.dim() - fp.gx));
-  c.gy = std::max(0, std::min(c.gy, spec.dim() - fp.gy));
-  return c;
-}
 
 // Sum of weighted coarse-net HPWL incident to a group node — the "tension"
 // that ranks which groups are worth moving when max_moves caps the budget.
@@ -55,16 +31,16 @@ double group_tension(const cluster::CoarseDesign& coarse,
   return tension;
 }
 
-RegulateResult regulate_from_context(netlist::Design& design,
-                                     FlowContext& context,
-                                     const RegulateOptions& options) {
-  RegulateResult result;
-  util::Timer total_timer;
+}  // namespace
+
+namespace detail {
+
+void regulate_place(netlist::Design& design, FlowContext& context,
+                    const RlFlowOptions& options,
+                    const RegulateOptions& regulate, PlaceResult& result) {
   const cluster::Clustering& clustering = context.clustering;
   const grid::GridSpec& spec = context.spec;
   const std::size_t num_groups = clustering.macro_groups.size();
-  result.macro_groups = static_cast<int>(num_groups);
-  result.cell_groups = static_cast<int>(clustering.cell_groups.size());
   result.input_hpwl = design.total_hpwl();
   MP_OBS_GAUGE("regulate.input_hpwl", result.input_hpwl);
 
@@ -80,21 +56,24 @@ RegulateResult regulate_from_context(netlist::Design& design,
     legal::legalize_flat(design, options.flow.legalize);
   }
   const double baseline_hpwl = design.total_hpwl();
-  std::vector<geometry::Point> snapshot;
-  snapshot.reserve(design.num_nodes());
-  for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-    snapshot.push_back(design.node(static_cast<netlist::NodeId>(i)).position);
-  }
+  const std::vector<geometry::Point> snapshot = positions_of(design);
 
   // --- Trust region -------------------------------------------------------
-  std::vector<grid::CellCoord> incumbent;
-  incumbent.reserve(num_groups);
+  // The incumbent anchors guide the search: its first seed line, and the
+  // prior bias on the scale of the trust region (the whole action space
+  // spans ~radius cells).
+  SearchPlan plan;
+  const std::vector<grid::CellCoord>& incumbent = plan.guide;
   for (const cluster::Group& group : clustering.macro_groups) {
-    incumbent.push_back(incumbent_anchor(spec, group));
+    plan.guide.push_back(group_anchor(spec, group));
+    plan.targets.push_back(spec.cell_rect(plan.guide.back()).center());
   }
+  const int radius = std::max(0, regulate.radius);
+  plan.temperature =
+      std::max(1, radius) * 0.5 * (spec.cell_width() + spec.cell_height());
 
   std::vector<char> frozen(num_groups, 0);
-  for (const std::string& name : options.frozen) {
+  for (const std::string& name : regulate.frozen) {
     const std::optional<netlist::NodeId> id = design.find_node(name);
     int g = -1;
     if (id.has_value()) {
@@ -107,7 +86,7 @@ RegulateResult regulate_from_context(netlist::Design& design,
     }
     frozen[static_cast<std::size_t>(g)] = 1;
   }
-  if (options.max_moves > 0) {
+  if (regulate.max_moves > 0) {
     // Rank the still-movable groups by tension (ties by index, so the
     // ordering — and therefore the result — is deterministic) and freeze
     // everything below the top max_moves.
@@ -115,7 +94,7 @@ RegulateResult regulate_from_context(netlist::Design& design,
     for (std::size_t g = 0; g < num_groups; ++g) {
       if (frozen[g] == 0) movable.push_back(static_cast<int>(g));
     }
-    if (static_cast<int>(movable.size()) > options.max_moves) {
+    if (static_cast<int>(movable.size()) > regulate.max_moves) {
       std::vector<double> tension(num_groups, 0.0);
       for (int g : movable) {
         tension[static_cast<std::size_t>(g)] = group_tension(
@@ -128,7 +107,7 @@ RegulateResult regulate_from_context(netlist::Design& design,
         if (ta != tb) return ta > tb;
         return a < b;
       });
-      for (std::size_t k = static_cast<std::size_t>(options.max_moves);
+      for (std::size_t k = static_cast<std::size_t>(regulate.max_moves);
            k < movable.size(); ++k) {
         frozen[static_cast<std::size_t>(movable[k])] = 1;
       }
@@ -140,7 +119,6 @@ RegulateResult regulate_from_context(netlist::Design& design,
   MP_OBS_GAUGE("regulate.frozen_groups",
                static_cast<double>(result.frozen_groups));
 
-  const int radius = std::max(0, options.radius);
   auto mask = std::make_shared<rl::ActionMask>(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
     const cluster::Group& group = clustering.macro_groups[g];
@@ -162,94 +140,19 @@ RegulateResult regulate_from_context(netlist::Design& design,
     }
     if (cells.empty()) cells.push_back(spec.flat_index(inc));
   }
+  plan.mask = std::move(mask);
 
-  // --- Fine-tune (short pre-training inside the trust region) -------------
-  rl::AgentConfig agent_config = options.agent;
-  agent_config.grid_dim = options.flow.grid_dim;
-  rl::AgentNetwork agent(agent_config);
-  if (!options.initial_parameters.empty()) {
-    nn::restore_parameters(agent.parameters(), options.initial_parameters);
-  }
-  rl::PlacementEnv env(context.coarse, clustering, spec);
-  env.set_allowed_actions(mask);
-  rl::CoarseEvaluator evaluator(context.coarse, spec);
-
-  util::Timer train_timer;
-  {
-    MP_OBS_SPAN("rl.train");
-    result.train_result = rl::train_agent(env, evaluator, agent, options.train);
-  }
-  result.train_seconds = train_timer.seconds();
-  if (result.train_result.cancelled) {
-    result.cancelled = true;
-    result.hpwl = baseline_hpwl;
-    result.finalized = true;  // the legal input placement is untouched
-    result.total_seconds = total_timer.seconds();
-    util::log_info() << "regulate_place: cancelled during fine-tuning";
-    return result;
-  }
-
-  // --- Trust-region MCTS ---------------------------------------------------
-  rl::RewardFn reward = options.train.reward;
-  if (!reward) {
-    reward = result.train_result.calibration.make_reward(options.train.alpha);
-  }
-  mcts::MctsOptions mcts_options = options.mcts;
-  mcts_options.auto_commit_forced = true;
-  std::vector<int> incumbent_path;
-  incumbent_path.reserve(num_groups);
-  for (const grid::CellCoord& c : incumbent) {
-    incumbent_path.push_back(spec.flat_index(c));
-  }
-  mcts_options.seed_paths.push_back(std::move(incumbent_path));
-  if (!result.train_result.best_anchors.empty()) {
-    std::vector<int> best_path;
-    for (const grid::CellCoord& c : result.train_result.best_anchors) {
-      best_path.push_back(spec.flat_index(c));
-    }
-    mcts_options.seed_paths.push_back(std::move(best_path));
-  }
-  // Prior bias toward the incumbent anchor, on the scale of the trust
-  // region (the analytic-guidance bias uses 0.15 * chip width; here the
-  // whole action space spans ~radius cells).
-  {
-    const double temperature = std::max(1, radius) * 0.5 *
-                               (spec.cell_width() + spec.cell_height());
-    const grid::GridSpec bias_spec = spec;
-    std::vector<geometry::Point> targets;
-    targets.reserve(num_groups);
-    for (const grid::CellCoord& c : incumbent) {
-      targets.push_back(bias_spec.cell_rect(c).center());
-    }
-    mcts_options.prior_bonus = [targets = std::move(targets), bias_spec,
-                                temperature](int step, int action) {
-      if (step < 0 || step >= static_cast<int>(targets.size())) return 1.0;
-      const geometry::Point anchor =
-          bias_spec.cell_rect(bias_spec.coord(action)).center();
-      const double dist = geometry::manhattan(
-          anchor, targets[static_cast<std::size_t>(step)]);
-      return std::exp(-dist / temperature) + 1e-4;
-    };
-  }
-
-  util::Timer mcts_timer;
-  {
-    MP_OBS_SPAN("mcts.search");
-    mcts::MctsPlacer mcts_placer(env, evaluator, agent, reward, mcts_options);
-    result.mcts_result = mcts_placer.run();
-  }
-  result.mcts_seconds = mcts_timer.seconds();
-  result.coarse_wirelength = result.mcts_result.wirelength;
-  result.cancelled = result.mcts_result.cancelled;
+  // --- Fine-tune + trust-region MCTS ---------------------------------------
+  const std::vector<grid::CellCoord> anchors =
+      train_then_search(options, context, plan, result);
 
   // --- Touched-region re-legalization + HPWL guarantee ---------------------
-  const bool complete =
-      static_cast<int>(result.mcts_result.anchors.size()) ==
-      result.macro_groups;
+  // An allocation left incomplete by a cancel moves nothing: the legal
+  // input is the result.
   std::vector<std::size_t> moved;
-  if (complete) {
+  if (anchors.size() == num_groups) {
     for (std::size_t g = 0; g < num_groups; ++g) {
-      if (!(result.mcts_result.anchors[g] == incumbent[g])) moved.push_back(g);
+      if (!(anchors[g] == incumbent[g])) moved.push_back(g);
     }
   }
   result.moved_groups = static_cast<int>(moved.size());
@@ -265,26 +168,12 @@ RegulateResult regulate_from_context(netlist::Design& design,
     // cell placement and almost always lose).
     const auto translate_group = [&](std::size_t g) {
       const geometry::Point from = spec.cell_origin(incumbent[g]);
-      const geometry::Point to =
-          spec.cell_origin(result.mcts_result.anchors[g]);
+      const geometry::Point to = spec.cell_origin(anchors[g]);
       const double dx = to.x - from.x;
       const double dy = to.y - from.y;
       for (netlist::NodeId m : clustering.macro_groups[g].members) {
         netlist::Node& node = design.node(m);
         node.position = {node.position.x + dx, node.position.y + dy};
-      }
-    };
-    const auto capture = [&] {
-      std::vector<geometry::Point> s;
-      s.reserve(design.num_nodes());
-      for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-        s.push_back(design.node(static_cast<netlist::NodeId>(i)).position);
-      }
-      return s;
-    };
-    const auto restore = [&](const std::vector<geometry::Point>& s) {
-      for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-        design.node(static_cast<netlist::NodeId>(i)).position = s[i];
       }
     };
 
@@ -306,7 +195,7 @@ RegulateResult regulate_from_context(netlist::Design& design,
       // (HPWL <= the legal input) holds because every accepted step
       // strictly improves and the empty acceptance set is the input itself.
       MP_OBS_COUNT("regulate.rollbacks", 1);
-      restore(snapshot);
+      restore_positions(design, snapshot);
       hpwl = baseline_hpwl;
       std::vector<geometry::Point> accepted = snapshot;
       std::vector<std::size_t> kept;
@@ -317,9 +206,9 @@ RegulateResult regulate_from_context(netlist::Design& design,
         if (h < hpwl) {
           hpwl = h;
           kept.push_back(g);
-          accepted = capture();
+          accepted = positions_of(design);
         } else {
-          restore(accepted);
+          restore_positions(design, accepted);
         }
       }
       moved = std::move(kept);
@@ -335,7 +224,6 @@ RegulateResult regulate_from_context(netlist::Design& design,
     MP_CHECK_LE(result.hpwl, baseline_hpwl + 1e-9 * (1.0 + baseline_hpwl),
                 "regulate HPWL exceeds the legal input baseline");
   }
-  result.total_seconds = total_timer.seconds();
   util::log_info() << "regulate_place: hpwl=" << result.hpwl << " (input "
                    << result.input_hpwl << ", " << result.moved_groups << "/"
                    << result.macro_groups << " groups moved, "
@@ -343,68 +231,6 @@ RegulateResult regulate_from_context(netlist::Design& design,
                    << result.train_seconds << "s, mcts "
                    << result.mcts_seconds << "s)"
                    << (result.cancelled ? " [cancelled]" : "");
-  MP_OBS_HIST("place.hpwl", result.hpwl);
-  MP_OBS_GAUGE("place.coarse_wirelength", result.coarse_wirelength);
-  MP_OBS_GAUGE("par.threads", static_cast<double>(par::current_threads()));
-  return result;
-}
-
-}  // namespace
-
-FlowContext prepare_regulate_flow(const netlist::Design& design,
-                                  const FlowOptions& options) {
-  MP_OBS_SPAN("flow.prepare_regulate");
-  FlowContext context{
-      grid::GridSpec(design.region(), options.grid_dim),
-      {},
-      {},
-  };
-  MP_OBS_SPAN("flow.clustering");
-  context.clustering =
-      cluster::cluster_design(design, context.spec, options.cluster);
-  context.coarse = cluster::build_coarse_design(design, context.clustering);
-  MP_OBS_GAUGE("flow.macro_groups",
-               static_cast<double>(context.clustering.macro_groups.size()));
-  MP_OBS_GAUGE("flow.cell_groups",
-               static_cast<double>(context.clustering.cell_groups.size()));
-  return context;
-}
-
-namespace detail {
-
-RegulateResult regulate_place_prepared(netlist::Design& design,
-                                       FlowContext& context,
-                                       const RegulateOptions& options) {
-  return regulate_from_context(design, context, propagate_cancel(options));
-}
-
-RegulateResult regulate_place(netlist::Design& design,
-                              const RegulateOptions& options) {
-  if (obs::enabled()) obs::reset_values();
-  const RegulateOptions propagated = propagate_cancel(options);
-  util::Timer total_timer;
-  std::optional<obs::Span> run_span;
-  run_span.emplace("regulate_place");
-
-  FlowContext context = prepare_regulate_flow(design, propagated.flow);
-  RegulateResult result;
-  if (propagated.cancel.cancelled()) {
-    result.cancelled = true;
-    result.finalized = true;  // input placement untouched
-    result.input_hpwl = design.total_hpwl();
-    result.hpwl = result.input_hpwl;
-    result.macro_groups =
-        static_cast<int>(context.clustering.macro_groups.size());
-    result.cell_groups =
-        static_cast<int>(context.clustering.cell_groups.size());
-    util::log_info() << "regulate_place: cancelled during preprocessing";
-  } else {
-    result = regulate_from_context(design, context, propagated);
-  }
-  result.total_seconds = total_timer.seconds();
-  run_span.reset();
-  obs::write_run_report("regulate_place");
-  return result;
 }
 
 }  // namespace detail

@@ -1,11 +1,10 @@
-#include "place/sa_placer.hpp"
+#include "place/detail.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace mp::place {
 
@@ -149,9 +148,8 @@ class SaCost {
 
 namespace detail {
 
-SaResult sa_place(Design& design, const SaOptions& options) {
-  SaResult result;
-  util::Timer timer;
+PlaceResult sa_place(Design& design, const SaOptions& options) {
+  PlaceResult result;
   util::Rng rng(options.seed);
 
   gp::global_place(design, options.initial_gp);
@@ -159,7 +157,6 @@ SaResult sa_place(Design& design, const SaOptions& options) {
   const std::vector<NodeId> movable = design.movable_macros();
   if (movable.empty()) {
     result.hpwl = place_cells_and_measure(design, options.final_gp);
-    result.seconds = timer.seconds();
     return result;
   }
 
@@ -243,15 +240,14 @@ SaResult sa_place(Design& design, const SaOptions& options) {
     }
     if ((iter + 1) % options.batch == 0) temperature *= options.cooling;
   }
-  result.accept_ratio =
+  result.sa_accept_ratio =
       static_cast<double>(accepted) / std::max(1, options.iterations);
-  result.final_cost = cost.cost();
+  result.sa_final_cost = cost.cost();
 
   legal::legalize_flat(design, options.legalize);
   result.hpwl = place_cells_and_measure(design, options.final_gp);
-  result.seconds = timer.seconds();
   util::log_info() << "sa_place: hpwl=" << result.hpwl
-                   << " accept=" << result.accept_ratio;
+                   << " accept=" << result.sa_accept_ratio;
   return result;
 }
 

@@ -21,28 +21,9 @@ struct SaOptions {
   double swap_probability = 0.2; ///< vs displacement
   double overlap_weight = -1.0;  ///< <0: auto (scales with HPWL magnitude)
   std::uint64_t seed = 11;
-  gp::GlobalPlaceOptions initial_gp = [] {
-    gp::GlobalPlaceOptions o;
-    o.move_macros = true;
-    o.max_iterations = 8;
-    return o;
-  }();
+  gp::GlobalPlaceOptions initial_gp = mixed_size_gp(8);
   gp::GlobalPlaceOptions final_gp;
   legal::MacroLegalizeOptions legalize;
 };
-
-struct SaResult {
-  double hpwl = 0.0;
-  double seconds = 0.0;
-  double accept_ratio = 0.0;
-  double final_cost = 0.0;
-};
-
-namespace detail {
-
-/// Flow plumbing behind place::run (Preset::kSa) — not public API.
-SaResult sa_place(netlist::Design& design, const SaOptions& options = {});
-
-}  // namespace detail
 
 }  // namespace mp::place

@@ -1,4 +1,4 @@
-#include "place/wiremask_placer.hpp"
+#include "place/detail.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "grid/occupancy.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mp::place {
 
@@ -28,9 +27,8 @@ struct NetBox {
 
 namespace detail {
 
-WiremaskResult wiremask_place(Design& design, const WiremaskOptions& options) {
-  WiremaskResult result;
-  util::Timer timer;
+PlaceResult wiremask_place(Design& design, const WiremaskOptions& options) {
+  PlaceResult result;
 
   gp::global_place(design, options.initial_gp);
 
@@ -40,7 +38,6 @@ WiremaskResult wiremask_place(Design& design, const WiremaskOptions& options) {
   });
   if (macros.empty()) {
     result.hpwl = place_cells_and_measure(design, options.final_gp);
-    result.seconds = timer.seconds();
     return result;
   }
 
@@ -106,7 +103,7 @@ WiremaskResult wiremask_place(Design& design, const WiremaskOptions& options) {
           cost += nb.weight * (grow_x + grow_y);
         }
       }
-      ++result.candidates_evaluated;
+      ++result.wiremask_candidates;
       const bool available = availability[static_cast<std::size_t>(flat)] > 0.0;
       // Prefer available (non-overflowing) anchors; among equals, min cost.
       const bool better =
@@ -138,7 +135,6 @@ WiremaskResult wiremask_place(Design& design, const WiremaskOptions& options) {
 
   legal::legalize_flat(design, options.legalize);
   result.hpwl = place_cells_and_measure(design, options.final_gp);
-  result.seconds = timer.seconds();
   util::log_info() << "wiremask_place: hpwl=" << result.hpwl;
   return result;
 }

@@ -15,28 +15,9 @@ namespace mp::place {
 struct WiremaskOptions {
   int grid_dim = 32;               ///< candidate grid resolution
   std::size_t max_net_degree = 64; ///< ignore larger nets in the mask
-  gp::GlobalPlaceOptions initial_gp = [] {
-    gp::GlobalPlaceOptions o;
-    o.move_macros = true;
-    o.max_iterations = 8;
-    return o;
-  }();
+  gp::GlobalPlaceOptions initial_gp = mixed_size_gp(8);
   gp::GlobalPlaceOptions final_gp;
   legal::MacroLegalizeOptions legalize;
 };
-
-struct WiremaskResult {
-  double hpwl = 0.0;
-  double seconds = 0.0;
-  long long candidates_evaluated = 0;
-};
-
-namespace detail {
-
-/// Flow plumbing behind place::run (Preset::kWiremask) — not public API.
-WiremaskResult wiremask_place(netlist::Design& design,
-                              const WiremaskOptions& options = {});
-
-}  // namespace detail
 
 }  // namespace mp::place

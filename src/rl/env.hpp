@@ -44,7 +44,7 @@ class AllocationEvaluator {
 /// indices the step-t group may anchor at.  Shared (immutable) so copying an
 /// env — the MCTS batched leaf path copies envs per pending leaf — stays
 /// cheap.  The regulate flow builds one from the incumbent anchors and the
-/// trust-region radius (place/regulate_placer.hpp).
+/// trust-region radius (place/regulate_placer.cpp).
 using ActionMask = std::vector<std::vector<int>>;
 
 class PlacementEnv {

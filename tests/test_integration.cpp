@@ -121,6 +121,9 @@ TEST(RlOnly, ProducesLegalPlacement) {
   const PlaceResult r = run_flow(d, fast_options(), Preset::kRlOnly);
   EXPECT_TRUE(std::isfinite(r.hpwl));
   EXPECT_NEAR(d.macro_overlap_area(), 0.0, d.region().area() * 1e-9);
+  // Reported like the other RL presets.
+  EXPECT_GT(r.cell_groups, 0);
+  EXPECT_GT(r.train_seconds, 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the telemetry subsystem (obs): counter/gauge/histogram math,
 // span nesting and self-time accounting, JSONL report round-trips through
-// the service's JSON parser, disabled-mode inertness, and the guarantee
-// that flow instrumentation never changes placement results.
+// the service's JSON parser, disabled-mode inertness, the guarantee that
+// flow instrumentation never changes placement results, and the run window
+// a cold RL-preset place::run owns.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "obs/report.hpp"
 #include "par/par.hpp"
 #include "place/flow.hpp"
+#include "place/placer.hpp"
 #include "svc/json.hpp"
 #include "util/timer.hpp"
 
@@ -673,6 +676,52 @@ TEST_F(ObsTest, FlowInstrumentationIsInert) {
     if (name == "gp.invocations") saw_gp = value > 0;
   }
   EXPECT_TRUE(saw_gp);
+}
+
+// ---------------------------------------------------------------------------
+// A cold RL-preset place::run owns one telemetry window.
+
+bool span_tree_holds(const svc::Json& spans, const std::string& name) {
+  for (const svc::Json& span : spans.items()) {
+    if (at(span, "name").as_string() == name) return true;
+    const svc::Json* children = span.find("children");
+    if (children != nullptr && span_tree_holds(*children, name)) return true;
+  }
+  return false;
+}
+
+TEST_F(ObsTest, ColdRlOnlyRunWritesOneRunReport) {
+  const std::string path = ::testing::TempDir() + "obs_rl_only.jsonl";
+  std::remove(path.c_str());
+  const char* previous = std::getenv("MP_OBS_OUT");
+  const std::string saved = previous != nullptr ? previous : "";
+  ::setenv("MP_OBS_OUT", path.c_str(), 1);
+
+  place::PresetKnobs knobs;
+  knobs.episodes = 4;
+  knobs.gamma = 2;
+  knobs.grid = 4;
+  knobs.channels = 8;
+  knobs.blocks = 1;
+  netlist::Design design = small_bench(316);
+  place::run(design, place::spec_from_preset(place::Preset::kRlOnly, knobs));
+
+  if (previous != nullptr) {
+    ::setenv("MP_OBS_OUT", saved.c_str(), 1);
+  } else {
+    ::unsetenv("MP_OBS_OUT");
+  }
+  std::vector<svc::Json> runs;
+  for (const std::string& line : read_lines(path)) {
+    svc::Json doc = parse_line(line);
+    if (doc.is_object() && at(doc, "kind").as_string() == "run") {
+      runs.push_back(std::move(doc));
+    }
+  }
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(at(runs[0], "label").as_string(), "rl_only_place");
+  EXPECT_TRUE(span_tree_holds(at(runs[0], "spans"), "rl.train"));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "io/bookshelf.hpp"
 #include "par/par.hpp"
 #include "place/placer.hpp"
-#include "place/regulate_placer.hpp"
 #include "svc/job.hpp"
 #include "svc/service.hpp"
 
