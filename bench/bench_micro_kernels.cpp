@@ -133,30 +133,6 @@ void BM_GemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlocked)->Args({32, 288, 256})->Args({128, 1152, 256});
 
-// Batched im2col: `batch` samples lowered into one wide column matrix
-// (stride col_ld = batch * h * w), the front half of every batched conv.
-void BM_Im2colBatched(benchmark::State& state) {
-  const int channels = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
-  const int h = 16, w = 16, kk = 3;
-  const std::size_t sample = static_cast<std::size_t>(channels) * h * w;
-  const std::vector<float> input = random_floats(sample * batch, 13);
-  const std::size_t col_ld = static_cast<std::size_t>(batch) * h * w;
-  std::vector<float> col(static_cast<std::size_t>(channels) * kk * kk *
-                         col_ld);
-  for (auto _ : state) {
-    for (int bi = 0; bi < batch; ++bi) {
-      nn::im2col(input.data() + static_cast<std::size_t>(bi) * sample,
-                 channels, h, w, kk,
-                 col.data() + static_cast<std::size_t>(bi) * h * w, col_ld);
-    }
-    benchmark::DoNotOptimize(col.data());
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) * batch *
-                          static_cast<long>(sample) * kk * kk);
-}
-BENCHMARK(BM_Im2colBatched)->Args({32, 1})->Args({32, 8})->Args({32, 32});
-
 void BM_Conv2dForward(benchmark::State& state) {
   util::Rng rng(5);
   const int channels = static_cast<int>(state.range(0));
@@ -195,34 +171,6 @@ void BM_AgentForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AgentForward)->Args({24, 2})->Args({32, 3})->Args({128, 10});
-
-// Batched agent forward (rl::AgentNetwork::forward_many, the future batched
-// MCTS leaf path): one im2col + one wide GEMM per layer for the whole
-// batch, per-sample bit-identical to BM_AgentForward's path.  Compare
-// real_ns at batch 8 vs 8x the batch-1 time for the batching payoff.
-void BM_AgentForwardMany(benchmark::State& state) {
-  rl::AgentConfig config;
-  config.grid_dim = 16;
-  config.channels = static_cast<int>(state.range(0));
-  config.res_blocks = static_cast<int>(state.range(1));
-  rl::AgentNetwork agent(config);
-  const int batch = static_cast<int>(state.range(2));
-  std::vector<rl::NetInput> inputs(static_cast<std::size_t>(batch));
-  for (rl::NetInput& in : inputs) {
-    in.sp.assign(256, 0.3);
-    in.availability.assign(256, 1.0);
-    in.t = 3;
-    in.total_steps = 20;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.forward_many(inputs));
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) * batch);
-}
-BENCHMARK(BM_AgentForwardMany)
-    ->Args({32, 3, 1})
-    ->Args({32, 3, 8})
-    ->Args({32, 3, 32});
 
 void BM_AvailabilityMap(benchmark::State& state) {
   const grid::GridSpec spec(geometry::Rect(0, 0, 160, 160), 16);

@@ -38,9 +38,8 @@ for b in bench_fig4_reward bench_fig5_mcts_vs_rl bench_table2_industrial \
   MP_OBS_OUT="$out/$b.jsonl" "$build/bench/$b" ${thread_args[@]+"${thread_args[@]}"} \
     | tee "$out/$b.txt"
 done
-# Micro kernels, including the blocked/SIMD vs naive GEMM pair and the
-# batched im2col / forward_many series (docs/PARALLELISM.md "Kernel
-# determinism"; acceptance: GemmBlocked >= 2x GemmNaive single-thread).
+# Micro kernels, including the blocked/SIMD vs naive GEMM pair (acceptance:
+# GemmBlocked >= 2x GemmNaive single-thread).
 echo "=== bench_micro_kernels ==="
 "$build/bench/bench_micro_kernels" --benchmark_min_time=0.1s \
   | tee "$out/bench_micro_kernels.txt" \

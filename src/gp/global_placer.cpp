@@ -9,7 +9,6 @@
 #include "gp/density.hpp"
 #include "obs/obs.hpp"
 #include "par/par.hpp"
-#include "qp/b2b.hpp"
 #include "util/log.hpp"
 
 namespace mp::gp {
@@ -229,18 +228,6 @@ GlobalPlaceResult global_place(Design& design, const GlobalPlaceOptions& options
     DensityGrid grid = build_density_grid(design, is_movable, region, bins,
                                           options.target_density);
     result.overflow_ratio = grid.overflow_ratio();
-  }
-  if (options.b2b_iterations > 0 && !result.cancelled) {
-    // Hold the spread positions with weak anchors while B2B polishes
-    // wirelength.
-    std::vector<qp::Anchor> anchors;
-    anchors.reserve(movable.size());
-    for (NodeId id : movable) {
-      anchors.push_back({id, design.node(id).center(), options.b2b_anchor_weight});
-    }
-    qp::B2bOptions b2b;
-    b2b.max_iterations = options.b2b_iterations;
-    qp::solve_b2b_placement(design, movable, anchors, b2b);
   }
   result.hpwl = design.total_hpwl();
   MP_OBS_HIST("gp.hpwl_after", result.hpwl);

@@ -31,18 +31,11 @@ struct GlobalPlaceOptions {
   /// the RePlAce-like baseline); when false only std cells move and all
   /// macros are treated as fixed obstacles (cell placement mode).
   bool move_macros = false;
-  /// Bound-to-Bound wirelength polish after the spreading loop: reweights
-  /// two-pin connections by 1/distance so the quadratic optimum approaches
-  /// the HPWL optimum (qp/b2b.hpp).  0 disables.
-  int b2b_iterations = 0;
-  /// Anchor weight holding the spread positions during the B2B polish (so
-  /// the density achieved by spreading is not thrown away).
-  double b2b_anchor_weight = 0.05;
   qp::QpOptions qp;
   /// Cooperative cancellation, polled at spreading-round boundaries: a
   /// cancelled run stops after the current round's anchored QP (positions
-  /// stay finite and consistent) and skips the B2B polish.  An inert or
-  /// never-triggered token leaves results bit-identical.
+  /// stay finite and consistent).  An inert or never-triggered token leaves
+  /// results bit-identical.
   util::CancelToken cancel;
 };
 

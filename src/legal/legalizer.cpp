@@ -205,39 +205,6 @@ MacroLegalizeResult legalize_groups(Design& original,
     if (processed == 0) break;
   }
 
-  // --- Step 4 (refinement): bounded net-driven QP + another LP round. ---
-  if (options.refine_inflation_cells > 0.0) {
-    const double dx = options.refine_inflation_cells * grid.cell_width();
-    const double dy = options.refine_inflation_cells * grid.cell_height();
-    std::vector<qp::BoxBound> refine_bounds;
-    std::vector<geometry::Rect> refine_allowed(movable.size());
-    for (std::size_t k = 0; k < movable.size(); ++k) {
-      const netlist::Node& macro = original.node(movable[k]);
-      const geometry::Rect& base = movable_allowed[k];
-      const geometry::Rect inflated = geometry::Rect::from_corners(
-          std::max(region.left(), base.left() - dx),
-          std::max(region.bottom(), base.bottom() - dy),
-          std::min(region.right(), base.right() + dx),
-          std::min(region.top(), base.top() + dy));
-      refine_allowed[k] = inflated;
-      const geometry::Rect center_box = geometry::Rect::from_corners(
-          inflated.left() + macro.width / 2.0,
-          inflated.bottom() + macro.height / 2.0,
-          std::max(inflated.left() + macro.width / 2.0,
-                   inflated.right() - macro.width / 2.0),
-          std::max(inflated.bottom() + macro.height / 2.0,
-                   inflated.top() - macro.height / 2.0));
-      refine_bounds.push_back({movable[k], center_box});
-    }
-    qp::solve_quadratic_placement(original, movable, {}, refine_bounds,
-                                  options.qp);
-    for (int round = 0; round < options.component_rounds; ++round) {
-      const int processed =
-          resolve_components(original, movable, region, refine_allowed, options);
-      result.components += processed;
-      if (processed == 0) break;
-    }
-  }
   final_shove_if_needed(original, movable, region, result, options);
   // Stage-boundary validation: the pipeline's contract is a legal (overlap-
   // free, in-region) macro placement; the shove pass is the last resort that

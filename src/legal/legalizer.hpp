@@ -24,14 +24,6 @@ struct MacroLegalizeOptions {
   qp::QpOptions qp;
   /// Rounds of component re-detection + LP after step 3 before shoving.
   int component_rounds = 2;
-  /// Step 4 (refinement): after the in-grid legalization, macros get one
-  /// more net-driven QP bounded to their group's cells inflated by this many
-  /// grid cells, followed by another LP/shove round.  Only useful when the
-  /// std cells already sit at meaningful positions; the flow-level
-  /// refinement (FlowOptions::refine_rounds) interleaves this with cell
-  /// placement instead, so the default here is off (the paper's strict
-  /// "inside their own grids" behaviour).
-  double refine_inflation_cells = 0.0;
 };
 
 struct MacroLegalizeResult {

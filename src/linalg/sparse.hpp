@@ -1,7 +1,7 @@
 #pragma once
 // Symmetric sparse matrices in CSR form for the quadratic-placement systems.
 // Built from (row, col, value) triplets with duplicate coalescing, which is
-// the natural output of clique/B2B net models.
+// the natural output of clique/star net models.
 
 #include <cstddef>
 #include <vector>

@@ -80,14 +80,12 @@ ValidationReport validate_design(const Design& design,
   }
 
   // Geometry.
-  if (options.check_region_containment) {
-    for (std::size_t i = 0; i < design.num_nodes(); ++i) {
-      const Node& node = design.node(static_cast<NodeId>(i));
-      if (node.kind == NodeKind::kPad) continue;
-      if (!design.region().contains(node.rect())) {
-        report.warnings.push_back(
-            format("node outside placement region", node.name, ""));
-      }
+  for (std::size_t i = 0; i < design.num_nodes(); ++i) {
+    const Node& node = design.node(static_cast<NodeId>(i));
+    if (node.kind == NodeKind::kPad) continue;
+    if (!design.region().contains(node.rect())) {
+      report.warnings.push_back(
+          format("node outside placement region", node.name, ""));
     }
   }
   if (options.check_macro_overlap) {

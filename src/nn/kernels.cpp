@@ -404,8 +404,7 @@ void gemm_bt_acc(const float* a, const float* b, float* out, int m, int k,
 
 // --------------------------------------------------------------- im2col ---
 
-void im2col(const float* input, int in_c, int h, int w, int k, float* col,
-            std::size_t col_ld) {
+void im2col(const float* input, int in_c, int h, int w, int k, float* col) {
   const int pad = k / 2;
   const std::size_t hw = static_cast<std::size_t>(h) * w;
   for (int c = 0; c < in_c; ++c) {
@@ -413,7 +412,7 @@ void im2col(const float* input, int in_c, int h, int w, int k, float* col,
     for (int ky = 0; ky < k; ++ky) {
       for (int kx = 0; kx < k; ++kx) {
         const int row = (c * k + ky) * k + kx;
-        float* dst = col + static_cast<std::size_t>(row) * col_ld;
+        float* dst = col + static_cast<std::size_t>(row) * hw;
         for (int y = 0; y < h; ++y) {
           const int sy = y + ky - pad;
           float* drow = dst + static_cast<std::size_t>(y) * w;

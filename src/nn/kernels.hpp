@@ -14,9 +14,9 @@
 //
 // The contract that everything downstream relies on is PARTITION
 // INVARIANCE: an output element computes identical bits no matter how the
-// work around it is tiled, vectorized, or batched (SIMD body vs scalar
-// tail, batch of 1 vs batch of 32).  That is what makes forward_many
-// bit-identical per sample to forward — docs/PARALLELISM.md "Kernel
+// work around it is tiled or vectorized (SIMD body vs scalar tail), so a
+// column's value does not depend on N or on which columns sit beside it.
+// Kernels.* in tests/test_nn.cpp checks it — docs/PARALLELISM.md "Kernel
 // determinism".
 //
 // On FMA hardware (__FMA__ && __AVX2__, e.g. MP_NATIVE_ARCH on a modern
@@ -35,8 +35,6 @@
 // kernels use GCC/Clang vector extensions (8-float lanes, lowered to AVX
 // when available and to pairs of SSE ops otherwise) with a scalar fallback
 // for other compilers.
-
-#include <cstddef>
 
 namespace mp::nn {
 
@@ -73,12 +71,7 @@ void gemm_bt_acc_naive(const float* a, const float* b, float* out, int m,
 
 /// im2col for a single [C, H, W] sample with a square kernel, stride 1 and
 /// "same" zero padding: writes the [C*k*k, H*W] column matrix of `input`
-/// into `col`, whose rows are `col_ld` floats apart.  A batched conv lays
-/// B samples side by side in one [C*k*k, B*H*W] matrix by calling this per
-/// sample with col = base + b*H*W and col_ld = B*H*W; the written values
-/// are independent of col_ld, so batched columns equal single-sample
-/// columns exactly.
-void im2col(const float* input, int in_c, int h, int w, int k, float* col,
-            std::size_t col_ld);
+/// into `col`.
+void im2col(const float* input, int in_c, int h, int w, int k, float* col);
 
 }  // namespace mp::nn

@@ -1,44 +1,15 @@
 #include "nn/layers.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "nn/kernels.hpp"
 
 // Like kernels.cpp, this file is compiled with -ffp-contract=off (see
-// CMakeLists.txt): the single-sample and batched loop bodies below must
-// round identically for the forward_batched() bit-identity contract, which
-// contraction applied to one loop but not the other would break.
+// CMakeLists.txt): every multiply and add in the loops below rounds on its
+// own, so whether the compiler vectorizes a loop (and how it splits it into
+// a vector body and a scalar tail) cannot change a layer's output bits.
 
 namespace mp::nn {
-
-// ----------------------------------------------------------------- Layer ---
-
-Tensor Layer::forward_batched(const Tensor& input, int batch) {
-  // Fallback: slice the leading batch dimension and run each sample through
-  // the single-sample inference forward.  Bit-identity per sample holds
-  // trivially; layers with a real batch kernel override this.
-  const std::size_t sample_size = input.size() / static_cast<std::size_t>(batch);
-  Tensor sample(std::vector<int>(input.shape().begin() + 1, input.shape().end()));
-  Tensor output;
-  std::size_t out_sample = 0;
-  for (int bi = 0; bi < batch; ++bi) {
-    std::memcpy(sample.data(), input.data() + bi * sample_size,
-                sizeof(float) * sample_size);
-    Tensor y = forward(sample, /*train=*/false);
-    if (bi == 0) {
-      std::vector<int> out_shape;
-      out_shape.push_back(batch);
-      out_shape.insert(out_shape.end(), y.shape().begin(), y.shape().end());
-      output = Tensor(out_shape);
-      out_sample = y.size();
-    }
-    std::memcpy(output.data() + bi * out_sample, y.data(),
-                sizeof(float) * out_sample);
-  }
-  return output;
-}
 
 // ---------------------------------------------------------------- Conv2d ---
 
@@ -67,7 +38,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   Tensor& col = train ? col_cache_ : col_local;
   col = Tensor({patch, h * w});
   if (!train) col_cache_ = Tensor();
-  im2col(input.data(), in_c_, h, w, k_, col.data(), hw);
+  im2col(input.data(), in_c_, h, w, k_, col.data());
 
   Tensor output({out_c_, h, w});
   // output[outC, h*w] = weight[outC, patch] * col[patch, h*w]
@@ -77,43 +48,6 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
     const float b = bias_.value[static_cast<std::size_t>(oc)];
     float* plane = output.data() + static_cast<std::size_t>(oc) * hw;
     for (int i = 0; i < h * w; ++i) plane[i] += b;
-  }
-  return output;
-}
-
-Tensor Conv2d::forward_batched(const Tensor& input, int batch) {
-  const int h = input.dim(2);
-  const int w = input.dim(3);
-  const int patch = in_c_ * k_ * k_;
-  const std::size_t hw = static_cast<std::size_t>(h) * w;
-  const std::size_t cols = static_cast<std::size_t>(batch) * hw;
-
-  // One [patch, B*h*w] column matrix for the whole batch: sample b occupies
-  // columns [b*hw, (b+1)*hw) and holds exactly the single-sample im2col of
-  // that sample, so the one GEMM below computes, element for element, the
-  // same k-ordered sums the single-sample forward would.
-  Tensor col({patch, static_cast<int>(cols)});
-  for (int bi = 0; bi < batch; ++bi) {
-    im2col(input.data() + static_cast<std::size_t>(bi) * in_c_ * hw, in_c_, h,
-           w, k_, col.data() + static_cast<std::size_t>(bi) * hw, cols);
-  }
-
-  Tensor big({out_c_, static_cast<int>(cols)});
-  gemm_acc(weight_.value.data(), col.data(), big.data(), out_c_, patch,
-           static_cast<int>(cols));
-
-  // Scatter [outC, B*hw] -> [B, outC, hw], adding bias after the GEMM just
-  // like the single-sample path.
-  Tensor output({batch, out_c_, h, w});
-  for (int bi = 0; bi < batch; ++bi) {
-    for (int oc = 0; oc < out_c_; ++oc) {
-      const float b = bias_.value[static_cast<std::size_t>(oc)];
-      const float* src = big.data() + static_cast<std::size_t>(oc) * cols +
-                         static_cast<std::size_t>(bi) * hw;
-      float* dst = output.data() +
-                   (static_cast<std::size_t>(bi) * out_c_ + oc) * hw;
-      for (std::size_t i = 0; i < hw; ++i) dst[i] = src[i] + b;
-    }
   }
   return output;
 }
@@ -238,30 +172,6 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
   return output;
 }
 
-Tensor BatchNorm2d::forward_batched(const Tensor& input, int batch) {
-  const int h = input.dim(2);
-  const int w = input.dim(3);
-  const std::size_t sp = static_cast<std::size_t>(h) * w;
-  Tensor output(input.shape());
-  for (int bi = 0; bi < batch; ++bi) {
-    for (int c = 0; c < channels_; ++c) {
-      const std::size_t off = (static_cast<std::size_t>(bi) * channels_ + c) * sp;
-      const float* in = input.data() + off;
-      float* out = output.data() + off;
-      const float mean = running_mean_.value[static_cast<std::size_t>(c)];
-      const float var = running_var_.value[static_cast<std::size_t>(c)];
-      const float inv = 1.0f / std::sqrt(var + eps_);
-      const float g = gamma_.value[static_cast<std::size_t>(c)];
-      const float b = beta_.value[static_cast<std::size_t>(c)];
-      for (std::size_t i = 0; i < sp; ++i) {
-        const float xh = (in[i] - mean) * inv;
-        out[i] = g * xh + b;
-      }
-    }
-  }
-  return output;
-}
-
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   Tensor grad_input({channels_, grad_output.dim(1), grad_output.dim(2)});
   const float n = static_cast<float>(spatial_);
@@ -318,15 +228,6 @@ Tensor ReLU::forward(const Tensor& input, bool train) {
   return output;
 }
 
-Tensor ReLU::forward_batched(const Tensor& input, int batch) {
-  (void)batch;  // elementwise: the batch layout is irrelevant
-  Tensor output = input;
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    if (!(output[i] > 0.0f)) output[i] = 0.0f;
-  }
-  return output;
-}
-
 Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor grad_input = grad_output;
   for (std::size_t i = 0; i < grad_input.size(); ++i) {
@@ -360,25 +261,6 @@ Tensor Linear::forward(const Tensor& input, bool train) {
     float sum = bias_.value[static_cast<std::size_t>(o)];
     for (int i = 0; i < in_f_; ++i) sum += row[i] * x[i];
     output[static_cast<std::size_t>(o)] = sum;
-  }
-  return output;
-}
-
-Tensor Linear::forward_batched(const Tensor& input, int batch) {
-  // Bias-first accumulation, exactly like forward(): the bias seeds the
-  // running sum, so a GEMM that dots first and adds bias after would round
-  // differently.
-  Tensor output({batch, out_f_});
-  const float* w = weight_.value.data();
-  for (int bi = 0; bi < batch; ++bi) {
-    const float* x = input.data() + static_cast<std::size_t>(bi) * in_f_;
-    float* y = output.data() + static_cast<std::size_t>(bi) * out_f_;
-    for (int o = 0; o < out_f_; ++o) {
-      const float* row = w + static_cast<std::size_t>(o) * in_f_;
-      float sum = bias_.value[static_cast<std::size_t>(o)];
-      for (int i = 0; i < in_f_; ++i) sum += row[i] * x[i];
-      y[o] = sum;
-    }
   }
   return output;
 }
@@ -428,16 +310,6 @@ Tensor ResBlock::forward(const Tensor& input, bool train) {
   return relu_out_.forward(h, train);
 }
 
-Tensor ResBlock::forward_batched(const Tensor& input, int batch) {
-  Tensor h = conv1_.forward_batched(input, batch);
-  h = bn1_.forward_batched(h, batch);
-  h = relu1_.forward_batched(h, batch);
-  h = conv2_.forward_batched(h, batch);
-  h = bn2_.forward_batched(h, batch);
-  h.add(input);  // skip connection
-  return relu_out_.forward_batched(h, batch);
-}
-
 Tensor ResBlock::backward(const Tensor& grad_output) {
   Tensor g = relu_out_.backward(grad_output);
   const Tensor skip_grad = g;  // gradient flowing through the identity path
@@ -462,12 +334,6 @@ void ResBlock::collect_parameters(std::vector<Parameter*>& out) {
 Tensor Sequential::forward(const Tensor& input, bool train) {
   Tensor x = input;
   for (auto& layer : layers_) x = layer->forward(x, train);
-  return x;
-}
-
-Tensor Sequential::forward_batched(const Tensor& input, int batch) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward_batched(x, batch);
   return x;
 }
 

@@ -37,18 +37,6 @@ class Layer {
   /// accumulates parameter gradients.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Inference-only batched forward: `input` stacks `batch` samples along a
-  /// leading dimension ([B, C, H, W] / [B, F]) and the result stacks the
-  /// per-sample outputs the same way.  Contract: sample b of the result is
-  /// bit-identical to `forward(sample_b, /*train=*/false)` for every layer
-  /// (see docs/PARALLELISM.md "Kernel determinism"), so batching samples
-  /// never changes any result.
-  /// The default implementation slices and loops; layers with a real batch
-  /// kernel (Conv2d: one im2col + one GEMM for the whole batch) override
-  /// it.  Never caches backward state — calling backward() after
-  /// forward_batched() is undefined.
-  virtual Tensor forward_batched(const Tensor& input, int batch);
-
   /// Appends the layer's parameters (for the optimizer).
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }
 };
@@ -60,7 +48,6 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   int in_channels() const { return in_c_; }
@@ -85,7 +72,6 @@ class BatchNorm2d : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -106,7 +92,6 @@ class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
 
  private:
   std::vector<bool> mask_;
@@ -119,7 +104,6 @@ class Linear : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   int in_features() const { return in_f_; }
@@ -139,7 +123,6 @@ class ResBlock : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -158,7 +141,6 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor forward_batched(const Tensor& input, int batch) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:

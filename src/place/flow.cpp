@@ -2,8 +2,6 @@
 
 #include "check/check.hpp"
 #include "check/validators.hpp"
-#include "dp/detailed.hpp"
-#include "dp/row_legalizer.hpp"
 #include "obs/obs.hpp"
 #include "place/detail.hpp"
 #include "util/log.hpp"
@@ -127,12 +125,6 @@ double finalize_placement(netlist::Design& design, FlowContext& context,
     hpwl = refined;
   }
 
-  if (options.row_legal_cells) {
-    MP_OBS_SPAN("flow.row_legalize");
-    dp::legalize_rows(design);
-    dp::refine_detailed(design);
-    hpwl = design.total_hpwl();
-  }
   MP_OBS_HIST("flow.final_hpwl", hpwl);
   // Final stage boundary: the flow's contract is a legal macro placement
   // with a finite, reproducible HPWL.

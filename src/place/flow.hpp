@@ -36,11 +36,6 @@ struct FlowOptions {
   /// anchor-pinned legalization; 0 reproduces the paper's flow verbatim.
   int refine_rounds = 3;
   double refine_inflation_cells = 1.0;
-  /// When true, finalize additionally snaps std cells into legal rows
-  /// (dp::legalize_rows) and runs the intra-row swap refinement, measuring
-  /// HPWL on the row-legal placement.  Off by default: the paper reports
-  /// the global-placement wirelength (DREAMPlace convention).
-  bool row_legal_cells = false;
   /// Cooperative cancellation (docs/SERVICE.md): propagated into the GP
   /// stages and polled at refinement-round boundaries.  A cancelled finalize
   /// still completes macro legalization and one cell placement pass, so the

@@ -212,15 +212,11 @@ QpResult solve_quadratic_placement(Design& design,
       cx = std::clamp(cx, box.left(), box.right());
       cy = std::clamp(cy, box.bottom(), box.top());
     }
-    if (options.clamp_to_region) {
-      node.position = {
-          geometry::fit_interval(cx - node.width / 2.0, node.width,
-                                 region.left(), region.right()),
-          geometry::fit_interval(cy - node.height / 2.0, node.height,
-                                 region.bottom(), region.top())};
-    } else {
-      node.position = {cx - node.width / 2.0, cy - node.height / 2.0};
-    }
+    node.position = {
+        geometry::fit_interval(cx - node.width / 2.0, node.width,
+                               region.left(), region.right()),
+        geometry::fit_interval(cy - node.height / 2.0, node.height,
+                               region.bottom(), region.top())};
   }
   return result;
 }

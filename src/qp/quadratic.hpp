@@ -40,9 +40,6 @@ struct QpOptions {
   /// Nets with more pins than this are ignored entirely (global nets).
   int max_net_degree = 512;
   linalg::CgOptions cg;
-  /// When true, solutions are clamped so node rectangles stay inside the
-  /// placement region.
-  bool clamp_to_region = true;
 };
 
 struct QpResult {
@@ -51,8 +48,9 @@ struct QpResult {
 };
 
 /// Solves the quadratic program and writes the resulting positions into
-/// `design` (moving exactly the nodes in `movable`).  Nodes not in `movable`
-/// keep their current positions and act as fixed terminals.
+/// `design` (moving exactly the nodes in `movable`), clamped so each moved
+/// node's rectangle stays inside the placement region.  Nodes not in
+/// `movable` keep their current positions and act as fixed terminals.
 /// `anchors`/`bounds` may reference only movable nodes.
 QpResult solve_quadratic_placement(netlist::Design& design,
                                    const std::vector<netlist::NodeId>& movable,

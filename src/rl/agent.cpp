@@ -93,79 +93,6 @@ AgentOutput AgentNetwork::forward(const std::vector<double>& sp,
   return out;
 }
 
-std::vector<AgentOutput> AgentNetwork::forward_many(
-    const std::vector<NetInput>& inputs) {
-  const int batch = static_cast<int>(inputs.size());
-  std::vector<AgentOutput> outputs;
-  if (batch == 0) return outputs;
-  const int d = config_.grid_dim;
-  const std::size_t plane = static_cast<std::size_t>(d) * d;
-
-  nn::Tensor input({batch, 1, d, d});
-  for (int bi = 0; bi < batch; ++bi) {
-    assert(static_cast<int>(inputs[static_cast<std::size_t>(bi)].sp.size()) ==
-           d * d);
-    float* dst = input.data() + static_cast<std::size_t>(bi) * plane;
-    const std::vector<double>& sp = inputs[static_cast<std::size_t>(bi)].sp;
-    for (std::size_t i = 0; i < plane; ++i) dst[i] = static_cast<float>(sp[i]);
-  }
-
-  // Trunk.
-  nn::Tensor h = conv1_.forward_batched(input, batch);
-  h = bn1_.forward_batched(h, batch);
-  h = relu1_.forward_batched(h, batch);
-  for (auto& block : tower_) h = block->forward_batched(h, batch);
-
-  // Policy head.
-  nn::Tensor p = conv_p_.forward_batched(h, batch);
-  p = bn_p_.forward_batched(p, batch);
-  p = relu_p_.forward_batched(p, batch);
-  p.reshape({batch, 2 * d * d});
-  nn::Tensor logits = fc_p_.forward_batched(p, batch);  // [batch, d*d]
-
-  // Value head: per-sample concat [trunk | s_p | t-plane].
-  const int cv = value_in_channels(config_.channels);
-  const std::size_t trunk_planes = static_cast<std::size_t>(config_.channels) * plane;
-  nn::Tensor v_in({batch, cv, d, d});
-  for (int bi = 0; bi < batch; ++bi) {
-    const NetInput& in = inputs[static_cast<std::size_t>(bi)];
-    float* dst = v_in.data() + static_cast<std::size_t>(bi) * cv * plane;
-    const float* trunk = h.data() + static_cast<std::size_t>(bi) * trunk_planes;
-    for (std::size_t i = 0; i < trunk_planes; ++i) dst[i] = trunk[i];
-    for (std::size_t i = 0; i < plane; ++i) {
-      dst[trunk_planes + i] = static_cast<float>(in.sp[i]);
-    }
-    const float t_embed = in.total_steps > 0
-                              ? static_cast<float>(in.t) /
-                                    static_cast<float>(in.total_steps)
-                              : 0.0f;
-    for (std::size_t i = 0; i < plane; ++i) {
-      dst[trunk_planes + plane + i] = t_embed;
-    }
-  }
-  nn::Tensor v = conv_v_.forward_batched(v_in, batch);
-  v = bn_v_.forward_batched(v, batch);
-  v = relu_v_.forward_batched(v, batch);
-  v.reshape({batch, d * d});
-  v = mlp1_.forward_batched(v, batch);
-  v = relu_m1_.forward_batched(v, batch);
-  v = mlp2_.forward_batched(v, batch);
-  v = relu_m2_.forward_batched(v, batch);
-  v = mlp3_.forward_batched(v, batch);  // [batch, 1]
-
-  outputs.resize(static_cast<std::size_t>(batch));
-  nn::Tensor sample_logits({d * d});
-  for (int bi = 0; bi < batch; ++bi) {
-    const float* row = logits.data() + static_cast<std::size_t>(bi) * plane;
-    for (std::size_t i = 0; i < plane; ++i) sample_logits[i] = row[i];
-    outputs[static_cast<std::size_t>(bi)].probs = nn::masked_softmax(
-        sample_logits, inputs[static_cast<std::size_t>(bi)].availability);
-    outputs[static_cast<std::size_t>(bi)].value =
-        v[static_cast<std::size_t>(bi)];
-  }
-  return outputs;
-}
-
 void AgentNetwork::backward(const nn::Tensor& policy_logit_grad,
                             float value_grad) {
   const int d = cached_dim_;

@@ -32,15 +32,6 @@ struct AgentOutput {
   float value = 0.0f;
 };
 
-/// One observation ⟨s_p, s_a, t⟩ for the batched inference entry point
-/// AgentNetwork::forward_many.
-struct NetInput {
-  std::vector<double> sp;            ///< flat ζ² utilization map
-  std::vector<double> availability;  ///< flat ζ² mask s_a
-  int t = 0;
-  int total_steps = 0;
-};
-
 class AgentNetwork {
  public:
   explicit AgentNetwork(const AgentConfig& config);
@@ -54,14 +45,6 @@ class AgentNetwork {
   AgentOutput forward(const std::vector<double>& sp,
                       const std::vector<double>& availability, int t,
                       int total_steps, bool train);
-
-  /// Batched inference forward: one N×C×H×W pass through the whole network
-  /// (one im2col + one GEMM per conv for the batch).  Output i is
-  /// bit-identical to forward(inputs[i], train=false) — see
-  /// docs/PARALLELISM.md "Kernel determinism" for why this holds — and
-  /// unlike forward() it leaves the backward caches untouched.  Not
-  /// thread-safe (layers scratch internal state).
-  std::vector<AgentOutput> forward_many(const std::vector<NetInput>& inputs);
 
   /// Backward for the most recent forward(train=true): `policy_logit_grad`
   /// is dL/d(policy logits) (ζ², e.g. from nn::policy_gradient) and

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "benchgen/generator.hpp"
-#include "dp/row_legalizer.hpp"
 #include "place/flow.hpp"
 
 namespace mp::place {
@@ -135,25 +134,6 @@ TEST(Flow, HierarchyDesignsProduceHierarchyAwareGroups) {
           << "group hierarchy is not a prefix of member path";
     }
   }
-}
-
-
-TEST(Flow, RowLegalCellsOptionProducesLegalCells) {
-  netlist::Design d = bench(126);
-  FlowOptions options;
-  options.grid_dim = 4;
-  options.initial_gp.max_iterations = 3;
-  options.final_gp.max_iterations = 4;
-  options.row_legal_cells = true;
-  FlowContext context = prepare_flow(d, options);
-  std::vector<grid::CellCoord> anchors;
-  for (std::size_t g = 0; g < context.clustering.macro_groups.size(); ++g) {
-    anchors.push_back({static_cast<int>(g) % 4, static_cast<int>(g / 4) % 4});
-  }
-  const double hpwl = finalize_placement(d, context, anchors, options);
-  EXPECT_TRUE(std::isfinite(hpwl));
-  EXPECT_TRUE(dp::cells_are_legal(d));
-  EXPECT_DOUBLE_EQ(hpwl, d.total_hpwl());
 }
 
 }  // namespace

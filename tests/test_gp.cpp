@@ -149,27 +149,5 @@ TEST(GlobalPlace, SpreadingTradesLimitedWirelength) {
   EXPECT_GE(r.hpwl, hpwl_qp * 0.5);
 }
 
-
-TEST(GlobalPlace, B2bPolishImprovesHpwl) {
-  benchgen::BenchSpec spec;
-  spec.movable_macros = 2;
-  spec.std_cells = 400;
-  spec.nets = 600;
-  spec.seed = 26;
-  netlist::Design d1 = benchgen::generate(spec);
-  netlist::Design d2 = benchgen::generate(spec);
-  GlobalPlaceOptions plain;
-  plain.move_macros = false;
-  plain.max_iterations = 8;
-  GlobalPlaceOptions polished = plain;
-  polished.b2b_iterations = 4;
-  const GlobalPlaceResult r_plain = global_place(d1, plain);
-  const GlobalPlaceResult r_polished = global_place(d2, polished);
-  EXPECT_LT(r_polished.hpwl, r_plain.hpwl * 1.02);
-  for (netlist::NodeId id : d2.std_cells()) {
-    EXPECT_TRUE(d2.region().contains(d2.node(id).rect()));
-  }
-}
-
 }  // namespace
 }  // namespace mp::gp

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "nn/functional.hpp"
+#include "nn/kernels.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -139,34 +140,7 @@ TEST(Conv2d, GradientCheck1x1) {
   check_gradients(conv, random_tensor({4, 3, 3}, 8));
 }
 
-TEST(BatchedForward, ConvForwardBatchedMatchesPerSample) {
-  util::Rng rng(3);
-  Conv2d conv(3, 5, 3, rng);
-  const int h = 8, w = 8;
-  for (const int batch : {1, 2, 7}) {
-    Tensor stacked({batch, 3, h, w});
-    util::Rng data_rng(40u + static_cast<std::uint64_t>(batch));
-    for (std::size_t i = 0; i < stacked.size(); ++i) {
-      stacked[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
-    }
-    const Tensor out = conv.forward_batched(stacked, batch);
-    ASSERT_EQ(out.dim(0), batch);
-    const std::size_t in_stride = static_cast<std::size_t>(3) * h * w;
-    const std::size_t out_stride = static_cast<std::size_t>(5) * h * w;
-    for (int b = 0; b < batch; ++b) {
-      Tensor sample({3, h, w});
-      std::memcpy(sample.data(), stacked.data() + in_stride * b,
-                  sizeof(float) * in_stride);
-      const Tensor one = conv.forward(sample, /*train=*/false);
-      EXPECT_EQ(std::memcmp(out.data() + out_stride * b, one.data(),
-                            sizeof(float) * out_stride),
-                0)
-          << "batch " << batch << " sample " << b;
-    }
-  }
-}
-
-TEST(BatchedForward, ConvReleasesColCacheAfterInferenceForward) {
+TEST(Conv2d, ReleasesColCacheAfterInferenceForward) {
   util::Rng rng(4);
   Conv2d conv(2, 2, 3, rng);
   Tensor x({2, 4, 4}, 0.5f);
@@ -176,15 +150,123 @@ TEST(BatchedForward, ConvReleasesColCacheAfterInferenceForward) {
 
   conv.forward(x, /*train=*/false);
   EXPECT_FALSE(conv.holds_col_cache());  // inference must not retain it
+}
 
-  conv.forward(x, /*train=*/true);
-  Tensor stacked({2, 2, 4, 4}, 0.25f);
-  conv.forward_batched(stacked, 2);
-  // forward_batched never touches the training caches either way, but it
-  // must not leave a batch-sized buffer behind.
-  EXPECT_TRUE(conv.holds_col_cache());
-  conv.forward(x, /*train=*/false);
-  EXPECT_FALSE(conv.holds_col_cache());
+// Row-major [rows x cols] floats in [-1, 1] with every fifth entry an exact
+// zero, so the kernels' zero-skip branches run too.
+std::vector<float> random_matrix(int rows, int cols, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(rows) * cols);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i % 5 == 3 ? 0.0f : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) == 0;
+}
+
+// Shapes that reach the blocked kernels' vector body (n a multiple of 16),
+// their scalar column tail (n % 16 != 0) and every A-row tail (m not a
+// multiple of the 6- or 4-row register block), with odd k.
+constexpr int kGemmN[] = {1, 7, 8, 9, 33, 256};
+constexpr int kGemmM[] = {1, 11, 13};
+constexpr int kGemmK[] = {1, 27};
+
+using GemmFn = void (*)(const float*, const float*, float*, int, int, int);
+
+// Runs `kernel` on seeded operands (m*k floats of A, k*n of B, each in the
+// layout `kernel` reads) and a seeded [m x n] output it accumulates into.
+std::vector<float> run_gemm(GemmFn kernel, int m, int k, int n,
+                            std::uint64_t seed) {
+  const std::vector<float> a = random_matrix(m, k, seed);
+  const std::vector<float> b = random_matrix(k, n, seed + 1);
+  std::vector<float> out = random_matrix(m, n, seed + 2);
+  kernel(a.data(), b.data(), out.data(), m, k, n);
+  return out;
+}
+
+// What gemm_acc must equal bit for bit (nn/kernels.hpp).  FMA builds fuse
+// its multiply-adds, so their reference fuses each element's k-terms into
+// the output in ascending k order, with no zero skip (nn/kernels.cpp);
+// no-FMA builds match the mul-then-add naive kernel.
+#if defined(__FMA__) && defined(__AVX2__)
+void gemm_acc_reference(const float* a, const float* b, float* out, int m,
+                        int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float& acc = out[static_cast<std::size_t>(i) * n + j];
+      for (int kk = 0; kk < k; ++kk) {
+        acc = std::fma(a[static_cast<std::size_t>(i) * k + kk],
+                       b[static_cast<std::size_t>(kk) * n + j], acc);
+      }
+    }
+  }
+}
+#else
+constexpr GemmFn gemm_acc_reference = gemm_acc_naive;
+#endif
+
+TEST(Kernels, BlockedGemmMatchesReference) {
+  for (const int m : kGemmM) {
+    for (const int k : kGemmK) {
+      for (const int n : kGemmN) {
+        const std::uint64_t seed =
+            static_cast<std::uint64_t>(m * 1000 + k * 10 + n);
+        EXPECT_TRUE(same_bits(run_gemm(gemm_at_acc, m, k, n, seed),
+                              run_gemm(gemm_at_acc_naive, m, k, n, seed)))
+            << "gemm_at_acc m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(same_bits(run_gemm(gemm_bt_acc, m, k, n, seed),
+                              run_gemm(gemm_bt_acc_naive, m, k, n, seed)))
+            << "gemm_bt_acc m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(same_bits(run_gemm(gemm_acc, m, k, n, seed),
+                              run_gemm(gemm_acc_reference, m, k, n, seed)))
+            << "gemm_acc m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Kernels, GemmAccColumnSliceMatchesFullProduct) {
+  // The full product (n = 265: a 256-column vector body plus a 9-column
+  // scalar tail) against gemm_acc run on column slices of B and of the
+  // initial output, each slice wide enough to land in a different mix of
+  // body and tail.
+  const int full_n = 265;
+  for (const int m : kGemmM) {
+    for (const int k : kGemmK) {
+      const std::vector<float> a = random_matrix(m, k, 70u + m + k);
+      const std::vector<float> b = random_matrix(k, full_n, 80u + m + k);
+      const std::vector<float> out0 = random_matrix(m, full_n, 90u + m + k);
+      std::vector<float> full = out0;
+      gemm_acc(a.data(), b.data(), full.data(), m, k, full_n);
+      for (const int n : kGemmN) {
+        for (const int j0 : {0, 3, full_n - n}) {
+          std::vector<float> b_slice(static_cast<std::size_t>(k) * n);
+          std::vector<float> slice(static_cast<std::size_t>(m) * n);
+          std::vector<float> expected(slice.size());
+          for (int r = 0; r < k; ++r) {
+            std::memcpy(&b_slice[static_cast<std::size_t>(r) * n],
+                        &b[static_cast<std::size_t>(r) * full_n + j0],
+                        sizeof(float) * n);
+          }
+          for (int r = 0; r < m; ++r) {
+            std::memcpy(&slice[static_cast<std::size_t>(r) * n],
+                        &out0[static_cast<std::size_t>(r) * full_n + j0],
+                        sizeof(float) * n);
+            std::memcpy(&expected[static_cast<std::size_t>(r) * n],
+                        &full[static_cast<std::size_t>(r) * full_n + j0],
+                        sizeof(float) * n);
+          }
+          gemm_acc(a.data(), b_slice.data(), slice.data(), m, k, n);
+          EXPECT_TRUE(same_bits(slice, expected))
+              << "m=" << m << " k=" << k << " n=" << n << " j0=" << j0;
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchNorm2d, NormalizesInTrainMode) {

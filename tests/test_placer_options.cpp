@@ -67,14 +67,5 @@ TEST(PlacerOptions, GuidanceNotWorseThanPureSearch) {
   EXPECT_LE(r_guided.coarse_wirelength, r_pure.coarse_wirelength * 1.001);
 }
 
-TEST(PlacerOptions, RowLegalCellsEndToEnd) {
-  netlist::Design d = bench(904);
-  MctsRlOptions options = fast_options();
-  options.flow.row_legal_cells = true;
-  const PlaceResult r = run_mcts(d, options);
-  EXPECT_TRUE(std::isfinite(r.hpwl));
-  EXPECT_DOUBLE_EQ(r.hpwl, d.total_hpwl());
-}
-
 }  // namespace
 }  // namespace mp::place

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
+#include <limits>
 
 #include "benchgen/generator.hpp"
 #include "cluster/clustering.hpp"
@@ -245,56 +245,6 @@ TEST(Agent, ParameterCountReasonable) {
   EXPECT_LT(agent.num_parameters(), 1000000u);
 }
 
-/// Random-but-plausible observations: utilization in [0, 1], a 0/1
-/// availability mask with at least one legal cell, and a step index.
-std::vector<NetInput> random_inputs(int n, int grid_dim, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const int cells = grid_dim * grid_dim;
-  std::vector<NetInput> inputs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    NetInput& in = inputs[static_cast<std::size_t>(i)];
-    in.sp.resize(static_cast<std::size_t>(cells));
-    in.availability.resize(static_cast<std::size_t>(cells));
-    for (int c = 0; c < cells; ++c) {
-      in.sp[static_cast<std::size_t>(c)] = rng.uniform(0.0, 1.0);
-      in.availability[static_cast<std::size_t>(c)] =
-          rng.uniform(0.0, 1.0) < 0.6 ? 1.0 : 0.0;
-    }
-    in.availability[static_cast<std::size_t>(i % cells)] = 1.0;
-    in.total_steps = 10;
-    in.t = i % in.total_steps;
-  }
-  return inputs;
-}
-
-bool bitwise_equal(const AgentOutput& a, const AgentOutput& b) {
-  return a.probs.shape() == b.probs.shape() &&
-         std::memcmp(a.probs.data(), b.probs.data(),
-                     sizeof(float) * a.probs.size()) == 0 &&
-         std::memcmp(&a.value, &b.value, sizeof(float)) == 0;
-}
-
-TEST(BatchedForward, NetworkForwardManyBitIdenticalPerSample) {
-  AgentConfig config;
-  config.grid_dim = 8;
-  config.channels = 8;
-  config.res_blocks = 1;
-  config.seed = 11;
-  AgentNetwork agent(config);
-  for (const int batch : {1, 2, 7, 32}) {
-    const std::vector<NetInput> inputs = random_inputs(batch, 8, 100u + batch);
-    const std::vector<AgentOutput> many = agent.forward_many(inputs);
-    ASSERT_EQ(many.size(), inputs.size());
-    for (int i = 0; i < batch; ++i) {
-      const NetInput& in = inputs[static_cast<std::size_t>(i)];
-      const AgentOutput one = agent.forward(in.sp, in.availability, in.t,
-                                            in.total_steps, /*train=*/false);
-      EXPECT_TRUE(bitwise_equal(many[static_cast<std::size_t>(i)], one))
-          << "batch " << batch << " sample " << i;
-    }
-  }
-}
-
 TEST(Trainer, ShortRunProducesEpisodesAndUpdates) {
   EnvFixture f(60, /*macros=*/8, /*grid_dim=*/4);
   PlacementEnv env(f.context.coarse, f.context.clustering, f.context.spec);
@@ -361,6 +311,46 @@ TEST(Trainer, CustomRewardIsUsed) {
   for (const EpisodeRecord& e : result.episodes) {
     EXPECT_DOUBLE_EQ(e.reward, 42.0);
   }
+}
+
+// Forwards to another evaluator and counts the wirelength evaluations.
+class CountingEvaluator : public AllocationEvaluator {
+ public:
+  explicit CountingEvaluator(AllocationEvaluator& inner) : inner_(inner) {}
+
+  double evaluate(const std::vector<grid::CellCoord>& anchors) override {
+    ++calls;
+    return inner_.evaluate(anchors);
+  }
+
+  int calls = 0;
+
+ private:
+  AllocationEvaluator& inner_;
+};
+
+TEST(Trainer, PreCancelledSkipsCalibration) {
+  EnvFixture f(63, 6, 4);
+  PlacementEnv env(f.context.coarse, f.context.clustering, f.context.spec);
+  CoarseEvaluator coarse(f.context.coarse, f.context.spec);
+  CountingEvaluator evaluator(coarse);
+  AgentConfig config;
+  config.grid_dim = 4;
+  config.channels = 8;
+  config.res_blocks = 1;
+  AgentNetwork agent(config);
+  TrainOptions options;
+  options.episodes = 3;
+  options.update_window = 3;
+  options.cancel = util::CancelToken::make();
+  options.cancel.request_cancel();
+  const TrainResult result = train_agent(env, evaluator, agent, options);
+  // The default calibration would have evaluated 50 random episodes.
+  EXPECT_EQ(evaluator.calls, 0);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_TRUE(result.episodes.empty());
+  EXPECT_EQ(result.optimizer_steps, 0);
+  EXPECT_EQ(result.best_wirelength, std::numeric_limits<double>::infinity());
 }
 
 }  // namespace
