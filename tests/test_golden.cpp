@@ -1,8 +1,9 @@
 // Golden placement table: committed (placement fingerprint, HPWL bit
 // pattern) pairs for the MCTS search in every leaf-evaluation mode at
 // eval_batch 1 and 4, for every preset through place::run (the RL presets
-// at 1 and 4 threads, cold and on a PreparedFlow; the baselines at 4), and
-// for one job through a 2-worker LocalService.
+// at 1 and 4 threads, cold and on a PreparedFlow; the baselines at 4), for
+// one job through a 2-worker LocalService, and for global placement alone
+// on a Cir-like design, whose rows also pin the QP work counters.
 // The pairwise tests elsewhere check A ≡ B; this one checks against answers
 // stored before a change, so a refactor that must keep today's placements
 // cannot move both sides of a comparison together.
@@ -25,7 +26,10 @@
 #include <vector>
 
 #include "benchgen/generator.hpp"
+#include "benchgen/presets.hpp"
+#include "gp/global_placer.hpp"
 #include "mcts/mcts.hpp"
+#include "obs/obs.hpp"
 #include "par/par.hpp"
 #include "place/flow.hpp"
 #include "place/placer.hpp"
@@ -42,6 +46,10 @@ struct GoldenRow {
   const char* name;
   std::uint64_t fingerprint;  ///< svc::placement_fingerprint of the design
   std::uint64_t hpwl_bits;    ///< bit pattern of the final HPWL (double)
+  /// The run's qp.solves and qp.cg_iterations; -1 in rows that pin no
+  /// counters.
+  long long qp_solves = -1;
+  long long qp_cg_iterations = -1;
 };
 
 // Recorded with FMA: the default tree on an x86-64 host with FMA + AVX2.
@@ -65,6 +73,8 @@ const std::vector<GoldenRow> kFmaRows = {
     {"place.rl_only.warm", 0x400e21957010c22bull, 0x40ee0e954f0985efull},
     {"place.regulate.warm", 0x600409f77fab22ecull, 0x40f156d16ca0e43dull},
     {"svc.mcts.w2", 0xc907d16358d16ef5ull, 0x40ef2902a487b25cull},
+    {"gp.cells", 0x85c7053e650faf6eull, 0x41241873b8112876ull, 17, 761},
+    {"gp.mixed.star4", 0xcfb658b7af51249full, 0x41275f47ba4aa3c3ull, 17, 969},
 };
 
 // Recorded without FMA: a -DMP_NATIVE_ARCH=OFF tree (x86-64 baseline ISA).
@@ -88,6 +98,8 @@ const std::vector<GoldenRow> kPlainRows = {
     {"place.rl_only.warm", 0x59d3b17f4b9e7ba2ull, 0x40ee0e954f0985ecull},
     {"place.regulate.warm", 0xb25a2d16d8f4b146ull, 0x40f079b13f952b6eull},
     {"svc.mcts.w2", 0x3fe7f46821a8d778ull, 0x40ef62c4bebf00bfull},
+    {"gp.cells", 0x9db5c40b10c727eeull, 0x41241873b8112875ull, 17, 761},
+    {"gp.mixed.star4", 0x85e0fd8bca00c2beull, 0x41275f47ba4aa3c2ull, 17, 969},
 };
 
 #if defined(__FMA__)
@@ -122,12 +134,27 @@ void expect_golden(const std::vector<GoldenRow>& observed) {
                want->hpwl_bits != o.hpwl_bits) {
       ADD_FAILURE() << o.name << ": placement or HPWL moved";
       all_match = false;
+    } else if (want->qp_solves != o.qp_solves ||
+               want->qp_cg_iterations != o.qp_cg_iterations) {
+      ADD_FAILURE() << o.name << ": QP work moved (qp.solves "
+                    << want->qp_solves << " -> " << o.qp_solves
+                    << ", qp.cg_iterations " << want->qp_cg_iterations
+                    << " -> " << o.qp_cg_iterations << ")";
+      all_match = false;
     }
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", o.name,
-                  static_cast<unsigned long long>(o.fingerprint),
-                  static_cast<unsigned long long>(o.hpwl_bits));
+    char line[200];
+    if (o.qp_solves >= 0) {
+      std::snprintf(line, sizeof(line),
+                    "    {\"%s\", 0x%016llxull, 0x%016llxull, %lld, %lld},\n",
+                    o.name, static_cast<unsigned long long>(o.fingerprint),
+                    static_cast<unsigned long long>(o.hpwl_bits), o.qp_solves,
+                    o.qp_cg_iterations);
+    } else {
+      std::snprintf(line, sizeof(line),
+                    "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", o.name,
+                    static_cast<unsigned long long>(o.fingerprint),
+                    static_cast<unsigned long long>(o.hpwl_bits));
+    }
     paste += line;
   }
   if (!all_match) {
@@ -337,6 +364,37 @@ TEST(Golden, TwoWorkerServiceMctsJob) {
   ASSERT_EQ(snap->state, svc::JobState::kDone) << snap->error;
   expect_golden({{"svc.mcts.w2", snap->outcome.placement_hash,
                   bits_of(snap->outcome.hpwl)}});
+}
+
+// ---------------------------------------------------------------------------
+// Global placement alone: the QP path on a Cir-like design (preplaced
+// macros, hierarchy), in cell mode with the default QP options and in mixed
+// mode with star nets above 4 pins, so star variables are common.
+
+GoldenRow run_global_place(const char* name,
+                           const gp::GlobalPlaceOptions& options) {
+  obs::set_enabled(true);
+  obs::Counter& solves = obs::Registry::global().counter("qp.solves");
+  obs::Counter& iterations =
+      obs::Registry::global().counter("qp.cg_iterations");
+  netlist::Design design =
+      benchgen::generate(benchgen::industrial_spec(0, 0.01));
+  const long long solves_before = solves.value();
+  const long long iterations_before = iterations.value();
+  const gp::GlobalPlaceResult r = gp::global_place(design, options);
+  return {name, svc::placement_fingerprint(design), bits_of(r.hpwl),
+          solves.value() - solves_before,
+          iterations.value() - iterations_before};
+}
+
+TEST(Golden, GlobalPlaceQpPath) {
+  gp::GlobalPlaceOptions mixed;
+  mixed.move_macros = true;
+  mixed.qp.clique_max_degree = 4;
+  expect_golden({
+      run_global_place("gp.cells", {}),
+      run_global_place("gp.mixed.star4", mixed),
+  });
 }
 
 }  // namespace
