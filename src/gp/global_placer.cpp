@@ -125,8 +125,12 @@ GlobalPlaceResult global_place(Design& design, const GlobalPlaceOptions& options
   const int bins = options.bins > 0 ? options.bins : auto_bins(movable.size());
   const geometry::Rect region = design.region();
 
+  // The net terms are assembled once; every solve below reuses them, and
+  // the anchored solves, which share one key sequence, share one sort.
+  qp::QuadraticSystem system(design, movable, options.qp);
+
   // Initial unconstrained QP.
-  qp::solve_quadratic_placement(design, movable, {}, {}, options.qp);
+  system.solve();
 
   // Fixed obstacles for capacity: fixed macros always; movable macros too
   // when they are not part of the movable set.
@@ -219,7 +223,7 @@ GlobalPlaceResult global_place(Design& design, const GlobalPlaceOptions& options
     for (std::size_t i = 0; i < movable.size(); ++i) {
       anchors.push_back({movable[i], targets[i], anchor_weight});
     }
-    qp::solve_quadratic_placement(design, movable, anchors, {}, options.qp);
+    system.solve(anchors);
     anchor_weight *= options.anchor_growth;
   }
 

@@ -6,6 +6,7 @@
 #include "benchgen/generator.hpp"
 #include "gp/density.hpp"
 #include "gp/global_placer.hpp"
+#include "obs/obs.hpp"
 
 namespace mp::gp {
 namespace {
@@ -147,6 +148,33 @@ TEST(GlobalPlace, SpreadingTradesLimitedWirelength) {
   const GlobalPlaceResult r = global_place(d, options);
   EXPECT_LT(r.hpwl, hpwl_qp * 5.0);
   EXPECT_GE(r.hpwl, hpwl_qp * 0.5);
+}
+
+// The anchored solves of one call share one key sequence, so a call sorts
+// its triplets twice (the unanchored solve and the first anchored one)
+// however many spreading passes it runs; a one-shot solve sorts once.
+TEST(GlobalPlace, SortsTripletsAtMostTwicePerCall) {
+  benchgen::BenchSpec spec;
+  spec.movable_macros = 2;
+  spec.std_cells = 500;
+  spec.nets = 700;
+  spec.seed = 25;
+  netlist::Design d = benchgen::generate(spec);
+  obs::set_enabled(true);
+  obs::Counter& solves = obs::Registry::global().counter("qp.solves");
+  obs::Counter& sorts = obs::Registry::global().counter("qp.csr_sorts");
+
+  const long long solves_before = solves.value();
+  long long sorts_before = sorts.value();
+  GlobalPlaceOptions options;
+  options.overflow_target = 0.0;  // run every spreading pass
+  global_place(d, options);
+  EXPECT_EQ(solves.value() - solves_before, options.max_iterations + 1);
+  EXPECT_EQ(sorts.value() - sorts_before, 2);
+
+  sorts_before = sorts.value();
+  qp::solve_quadratic_placement(d, d.std_cells());
+  EXPECT_EQ(sorts.value() - sorts_before, 1);
 }
 
 }  // namespace

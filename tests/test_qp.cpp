@@ -1,9 +1,14 @@
 // Tests for quadratic placement: closed-form cases, anchors, bounds,
-// offsets, star model, and HPWL-improvement property on synthetic designs.
+// offsets, star model, HPWL-improvement property on synthetic designs, and
+// a reused QuadraticSystem against one-shot solves.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "benchgen/generator.hpp"
+#include "obs/obs.hpp"
 #include "qp/quadratic.hpp"
 
 namespace mp::qp {
@@ -204,6 +209,89 @@ TEST(Qp, ReducesHpwlOnSyntheticDesign) {
   const double before = d.total_hpwl();
   solve_quadratic_placement(d, d.std_cells());
   EXPECT_LT(d.total_hpwl(), before);
+}
+
+// One system solved again and again, as the global placer does, against a
+// one-shot solve of a copy of the design in the same state, bit for bit.
+// The design has a star net of movable and fixed pins, a star net of fixed
+// pins only, two nets joining the same pair (duplicate triplets) and an
+// isolated movable node (the regularization).
+TEST(Qp, ReusedSystemEqualsFreshSolves) {
+  Design d("d", geometry::Rect(0, 0, 100, 100));
+  for (int i = 0; i < 4; ++i) {
+    Node pad;
+    pad.name = "p" + std::to_string(i);
+    pad.kind = NodeKind::kPad;
+    pad.fixed = true;
+    pad.position = {30.0 * i, i % 2 == 0 ? 0.0 : 100.0};
+    d.add_node(pad);
+  }
+  std::vector<netlist::NodeId> movable;
+  for (int i = 0; i < 8; ++i) {
+    Node cell;
+    cell.name = "c" + std::to_string(i);
+    cell.width = 1.0 + i % 3;
+    cell.height = 2.0;
+    cell.position = {10.0 + 9.0 * i, 40.0 + 3.0 * (i % 4)};
+    movable.push_back(d.add_node(cell));
+  }
+  const auto net = [&](std::vector<netlist::NodeId> nodes) {
+    Net n;
+    for (netlist::NodeId id : nodes) n.pins.push_back({id, 0.5, 1.0});
+    d.add_net(n);
+  };
+  net({4, 5, 6, 0, 1});  // star: three movable and two fixed pins
+  net({0, 1, 2, 3});     // star: fixed pins only
+  net({7, 8});           // the same pair twice
+  net({7, 8});
+  net({5, 7, 2});
+  net({6, 8, 9, 3});  // star
+  net({9, 10});
+  // Node 11 (the last cell) is on no net.
+  QpOptions options;
+  options.clique_max_degree = 3;
+
+  obs::set_enabled(true);
+  obs::Counter& sorts = obs::Registry::global().counter("qp.csr_sorts");
+  QuadraticSystem system(d, movable, options);
+  const auto anchors_on = [&](std::size_t stride, double weight) {
+    std::vector<Anchor> anchors;
+    for (std::size_t i = 0; i < movable.size(); i += stride) {
+      anchors.push_back({movable[i], {5.0 + 11.0 * i, 90.0 - 7.0 * i}, weight});
+    }
+    return anchors;
+  };
+  struct Step {
+    std::vector<Anchor> anchors;
+    long long sorts;  ///< sorts the system runs: 1 when the keys change
+  };
+  const double w = 0.02;
+  const Step steps[] = {
+      {{}, 1},
+      {anchors_on(1, w), 1},
+      {anchors_on(1, 1.6 * w), 0},
+      {anchors_on(1, 2.56 * w), 0},
+      {anchors_on(2, 4.0 * w), 1},  // half the nodes: a new key sequence
+      {anchors_on(1, 6.5 * w), 1},
+  };
+  for (std::size_t s = 0; s < std::size(steps); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    Design fresh = d;
+    const long long before = sorts.value();
+    const QpResult reused = system.solve(steps[s].anchors);
+    EXPECT_EQ(sorts.value() - before, steps[s].sorts);
+    const QpResult once = solve_quadratic_placement(
+        fresh, movable, steps[s].anchors, {}, options);
+    EXPECT_EQ(sorts.value() - before, steps[s].sorts + 1);
+    EXPECT_EQ(reused.cg_x.iterations, once.cg_x.iterations);
+    EXPECT_EQ(reused.cg_y.iterations, once.cg_y.iterations);
+    EXPECT_EQ(reused.cg_x.residual, once.cg_x.residual);
+    EXPECT_EQ(reused.cg_y.residual, once.cg_y.residual);
+    for (netlist::NodeId id : movable) {
+      EXPECT_EQ(d.node(id).position.x, fresh.node(id).position.x) << id;
+      EXPECT_EQ(d.node(id).position.y, fresh.node(id).position.y) << id;
+    }
+  }
 }
 
 }  // namespace
