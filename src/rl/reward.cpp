@@ -15,13 +15,14 @@ RewardFn RewardCalibration::make_reward(double alpha) const {
 
 RewardCalibration calibrate_reward(PlacementEnv& env,
                                    AllocationEvaluator& evaluator, int episodes,
-                                   util::Rng& rng) {
+                                   util::Rng& rng,
+                                   const util::CancelToken& cancel) {
   RewardCalibration cal;
   cal.wl_max = -std::numeric_limits<double>::infinity();
   cal.wl_min = std::numeric_limits<double>::infinity();
   double sum = 0.0;
   int completed = 0;
-  for (int e = 0; e < episodes; ++e) {
+  for (int e = 0; e < episodes && !cancel.cancelled(); ++e) {
     env.reset();
     bool ok = true;
     while (!env.done()) {

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "rl/env.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace mp::rl {
@@ -26,10 +27,14 @@ struct RewardCalibration {
 };
 
 /// Plays `episodes` uniformly-random episodes, evaluating each final
-/// allocation, and returns the observed wirelength statistics.
+/// allocation, and returns the observed wirelength statistics.  `cancel` is
+/// polled before each episode; once it fires, the statistics of the
+/// episodes played so far are returned.  The poll reads no RNG state, so an
+/// untriggered token leaves the result bit-identical.
 RewardCalibration calibrate_reward(PlacementEnv& env,
                                    AllocationEvaluator& evaluator,
-                                   int episodes, util::Rng& rng);
+                                   int episodes, util::Rng& rng,
+                                   const util::CancelToken& cancel = {});
 
 /// The "intuitive" baseline reward −W (Fig. 4b).
 RewardFn negative_wirelength_reward();

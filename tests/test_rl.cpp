@@ -313,17 +313,20 @@ TEST(Trainer, CustomRewardIsUsed) {
   }
 }
 
-// Forwards to another evaluator and counts the wirelength evaluations.
+// Forwards to another evaluator and counts the wirelength evaluations; when
+// `cancel_at` > 0, requests `cancel` on that call.
 class CountingEvaluator : public AllocationEvaluator {
  public:
   explicit CountingEvaluator(AllocationEvaluator& inner) : inner_(inner) {}
 
   double evaluate(const std::vector<grid::CellCoord>& anchors) override {
-    ++calls;
+    if (++calls == cancel_at) cancel.request_cancel();
     return inner_.evaluate(anchors);
   }
 
   int calls = 0;
+  int cancel_at = 0;
+  util::CancelToken cancel;
 
  private:
   AllocationEvaluator& inner_;
@@ -347,6 +350,32 @@ TEST(Trainer, PreCancelledSkipsCalibration) {
   const TrainResult result = train_agent(env, evaluator, agent, options);
   // The default calibration would have evaluated 50 random episodes.
   EXPECT_EQ(evaluator.calls, 0);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_TRUE(result.episodes.empty());
+  EXPECT_EQ(result.optimizer_steps, 0);
+  EXPECT_EQ(result.best_wirelength, std::numeric_limits<double>::infinity());
+}
+
+TEST(Trainer, CancelDuringCalibrationStopsIt) {
+  EnvFixture f(63, 6, 4);
+  PlacementEnv env(f.context.coarse, f.context.clustering, f.context.spec);
+  CoarseEvaluator coarse(f.context.coarse, f.context.spec);
+  CountingEvaluator evaluator(coarse);
+  AgentConfig config;
+  config.grid_dim = 4;
+  config.channels = 8;
+  config.res_blocks = 1;
+  AgentNetwork agent(config);
+  TrainOptions options;
+  options.episodes = 3;
+  options.update_window = 3;
+  options.cancel = util::CancelToken::make();
+  evaluator.cancel = options.cancel;
+  evaluator.cancel_at = 3;
+  const TrainResult result = train_agent(env, evaluator, agent, options);
+  // The calibration stops at the next episode boundary instead of
+  // evaluating all 50 random episodes.
+  EXPECT_EQ(evaluator.calls, 3);
   EXPECT_TRUE(result.cancelled);
   EXPECT_TRUE(result.episodes.empty());
   EXPECT_EQ(result.optimizer_steps, 0);
