@@ -38,7 +38,8 @@
 #      TSan leg entirely.
 #   6. Schema validation of the committed perf artifacts
 #      (results/BENCH_*.json) via scripts/validate_bench_json.py — stdlib
-#      python only, skipped with a notice when none are present.
+#      python only, skipped with a notice when none are present — and the
+#      self-test of scripts/bench_diff.py, the mpbench parent/change report.
 #   7. clang-tidy over the compile database, when clang-tidy is installed.
 #      Skipped with a notice otherwise (the container ships gcc only).
 #
@@ -64,8 +65,8 @@ for arg in "$@"; do
       echo "Stages, in order: mplint static analysis (fails fast; also"
       echo "reachable as 'cmake --build build --target lint'), mpbench build"
       echo "+ mpbench_tests, ASan/UBSan build + full ctest, mp_serve smoke,"
-      echo "TSan leg, bench-artifact schema validation, clang-tidy (when"
-      echo "installed)."
+      echo "TSan leg, bench-artifact schema validation + bench_diff self-test,"
+      echo "clang-tidy (when installed)."
       echo
       echo "  --tsan     run the FULL suite under TSan (default: par|svc|obs|net|eco)"
       echo "  --no-tsan  skip the TSan leg"
@@ -317,13 +318,14 @@ case "${TSAN_MODE}" in
   off)  note "tsan: skipped (--no-tsan)" ;;
 esac
 
-note "bench artifacts: schema validation (results/BENCH_*.json)"
+note "bench artifacts: schema validation (results/BENCH_*.json), bench_diff self-test"
 BENCH_ARTIFACTS=(results/BENCH_*.json)
 if [[ -e "${BENCH_ARTIFACTS[0]}" ]]; then
   python3 scripts/validate_bench_json.py "${BENCH_ARTIFACTS[@]}"
 else
   echo "no results/BENCH_*.json artifacts present; skipping" >&2
 fi
+python3 scripts/bench_diff.py --self-test
 
 note "clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then
