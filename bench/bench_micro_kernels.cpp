@@ -1,6 +1,6 @@
 // Google-benchmark micro kernels for the library's hot paths: HPWL, CG
-// solve, conv2d forward/backward, availability map, sequence-pair
-// legalization LP and one MCTS exploration step.
+// solve, one QP solve, one global placement, GEMM, conv2d forward/backward,
+// agent forward, availability map and the sequence-pair legalization LP.
 //
 // Besides the usual console output, the explicit main() below captures every
 // run through an ArtifactReporter and writes BENCH_micro_kernels.json
@@ -15,6 +15,7 @@
 
 #include "artifact.hpp"
 #include "benchgen/generator.hpp"
+#include "gp/global_placer.hpp"
 #include "grid/occupancy.hpp"
 #include "legal/lp_legalizer.hpp"
 #include "linalg/cg.hpp"
@@ -80,6 +81,20 @@ void BM_QuadraticPlacement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuadraticPlacement)->Arg(1000)->Arg(5000);
+
+// Global placement with default options on a fresh copy of the design: the
+// unanchored solve plus one anchored solve per spreading pass, all on one
+// assembled QP system.
+void BM_GlobalPlace(benchmark::State& state) {
+  const netlist::Design base = make_design(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    netlist::Design d = base;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(gp::global_place(d).hpwl);
+  }
+}
+BENCHMARK(BM_GlobalPlace)->Arg(5000);
 
 // GEMM at the conv-as-GEMM shapes of the agent's 16x16 grid: M = out_c,
 // K = in_c * 3 * 3, N = h * w.  The naive reference kernel vs the blocked /
