@@ -120,9 +120,9 @@ inline place::MctsRlOptions default_flow_options() {
   o.train.calibration_episodes = b.calibration;
   o.mcts.explorations_per_move = b.gamma;
   o.mcts.leaf_evaluation = leaf_evaluation();
-  // Benches batch leaf evaluations to the pool size (0 = auto); at
-  // --threads 1 this resolves to the serial search, so single-threaded
-  // bench results remain bit-identical to the pre-parallel flow.
+  // Benches batch leaf evaluations to the pool size (0 = auto), so their
+  // search, unlike self-play, depends on --threads; at --threads 1 this
+  // resolves to the serial search (eval_batch 1).
   o.mcts.eval_batch = 0;
   return o;
 }

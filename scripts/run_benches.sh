@@ -41,9 +41,8 @@ done
 # Micro kernels, including the blocked/SIMD vs naive GEMM pair (acceptance:
 # GemmBlocked >= 2x GemmNaive single-thread).
 echo "=== bench_micro_kernels ==="
-"$build/bench/bench_micro_kernels" --benchmark_min_time=0.1s \
-  | tee "$out/bench_micro_kernels.txt" \
-  || "$build/bench/bench_micro_kernels" | tee "$out/bench_micro_kernels.txt"
+"$build/bench/bench_micro_kernels" --benchmark_min_time=0.1 \
+  | tee "$out/bench_micro_kernels.txt"
 
 echo "=== bench_service_load ==="
 "$build/bench/bench_service_load" --workers "${SVC_WORKERS:-4}" \

@@ -2,8 +2,7 @@
 // routine: the trust-region set-up and the finalize that keeps the HPWL at
 // or below the legal input's (RegulateOptions, place/placer.hpp).  Results
 // are deterministic: bit-identical across eval_batch settings and across
-// thread counts above one (one thread trains on the serial self-play loop),
-// same as every other preset.
+// thread counts, one thread included, same as every other preset.
 
 #include <algorithm>
 #include <optional>

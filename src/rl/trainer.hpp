@@ -9,6 +9,12 @@
 //     ∇L_value  = Σ_t ∇(A_t²)                                        (Eq. 7)
 // through the shared network.  θ is updated every `update_window` episodes
 // (30 in the paper).
+//
+// A window's episodes roll out concurrently on the par:: pool, each on the
+// window's frozen θ with its own Rng::split stream; their gradients are then
+// replayed serially in episode order on the live network.  The trajectory is
+// therefore the same at every pool size, one thread included: the pool size
+// changes wall time only (docs/PARALLELISM.md "Parallel self-play").
 
 #include <functional>
 #include <vector>
@@ -27,18 +33,6 @@ struct TrainOptions {
   double alpha = 0.75;          ///< Eq. (9) α (paper range [0.5, 1])
   int calibration_episodes = 50;
   std::uint64_t seed = 42;
-  /// Collect each update window's episodes concurrently on the par:: pool:
-  /// every episode rolls out on a frozen clone of θ with its own
-  /// Rng::split stream, then gradients are replayed serially in episode
-  /// order on the live network.  Engaged only when the pool has more than
-  /// one thread and the evaluator is clonable; otherwise (and always at
-  /// --threads 1) the classic serial loop runs, bit-identical to the
-  /// pre-parallel implementation.  Parallel-mode results are deterministic
-  /// — independent of the thread count — but are a different (equally
-  /// valid) trajectory than the serial loop: rollouts use per-episode rng
-  /// streams and the window's policy snapshot instead of the
-  /// continuously-updated gradient buffer.  See docs/PARALLELISM.md.
-  bool parallel_rollouts = true;
   /// Custom reward; when empty, Eq. (9) is calibrated and used.
   RewardFn reward;
   /// Called after every episode with (episode index, reward, wirelength).

@@ -6,7 +6,9 @@
 // on a Cir-like design, whose rows also pin the QP work counters.
 // The pairwise tests elsewhere check A ≡ B; this one checks against answers
 // stored before a change, so a refactor that must keep today's placements
-// cannot move both sides of a comparison together.
+// cannot move both sides of a comparison together.  The pool size never
+// changes a placement, so each RL preset's t1 row equals its t4 row, and
+// the test checks that of the observed rows too.
 //
 // Absolute bits depend on the build flavour: FMA builds (MP_NATIVE_ARCH on
 // an FMA host) round each forward-GEMM term once, every other build twice
@@ -62,9 +64,9 @@ const std::vector<GoldenRow> kFmaRows = {
     {"mcts.rollout.b4", 0xa10d0642579f6d6cull, 0x40e27ca4c30605ccull},
     {"place.mcts.t1", 0xc243f702cd2b4058ull, 0x40eed853e06e5cf6ull},
     {"place.mcts.t4", 0xc243f702cd2b4058ull, 0x40eed853e06e5cf6ull},
-    {"place.rl_only.t1", 0x4a1c9f37fa0fcb94ull, 0x40f0693f548036d9ull},
+    {"place.rl_only.t1", 0x400e21957010c22bull, 0x40ee0e954f0985efull},
     {"place.rl_only.t4", 0x400e21957010c22bull, 0x40ee0e954f0985efull},
-    {"place.regulate.t1", 0x9c73108cb128f681ull, 0x40f174c4eeb1da3eull},
+    {"place.regulate.t1", 0x600409f77fab22ecull, 0x40f156d16ca0e43dull},
     {"place.regulate.t4", 0x600409f77fab22ecull, 0x40f156d16ca0e43dull},
     {"place.sa.t4", 0x82b87a3a4c836f1bull, 0x40f0cf6ac2619e65ull},
     {"place.wiremask.t4", 0xa45507a2e3df9365ull, 0x40f0cf42a24e1130ull},
@@ -87,9 +89,9 @@ const std::vector<GoldenRow> kPlainRows = {
     {"mcts.rollout.b4", 0xfd19e8890c78e3f3ull, 0x40e2a91da28bed67ull},
     {"place.mcts.t1", 0x40ad9e28d327f729ull, 0x40efd8a302ca7b82ull},
     {"place.mcts.t4", 0x40ad9e28d327f729ull, 0x40efd8a302ca7b82ull},
-    {"place.rl_only.t1", 0x5e92178ede91795aull, 0x40efb05017d1c454ull},
+    {"place.rl_only.t1", 0x59d3b17f4b9e7ba2ull, 0x40ee0e954f0985ecull},
     {"place.rl_only.t4", 0x59d3b17f4b9e7ba2ull, 0x40ee0e954f0985ecull},
-    {"place.regulate.t1", 0x0896b662f9a57e46ull, 0x40f08f4b3620cefbull},
+    {"place.regulate.t1", 0xb25a2d16d8f4b146ull, 0x40f079b13f952b6eull},
     {"place.regulate.t4", 0xb25a2d16d8f4b146ull, 0x40f079b13f952b6eull},
     {"place.sa.t4", 0x2198ffcbd9f1c42cull, 0x40f077c674b0540full},
     {"place.wiremask.t4", 0xd6dce36feed62610ull, 0x40f0cf42a24e1131ull},
@@ -249,9 +251,9 @@ TEST(Golden, MctsSearchEveryLeafModeAndBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// place::run: every preset, the RL ones at 1 and 4 threads.  One thread
-// trains on the serial self-play loop and more threads on parallel windows,
-// so 1- and 4-thread rows may differ (docs/PARALLELISM.md).
+// place::run: every preset, the RL ones at 1 and 4 threads.  Self-play runs
+// the same windowed loop at every pool size, so each 1-thread row must equal
+// its 4-thread row (docs/PARALLELISM.md).
 
 place::PresetKnobs tiny_knobs() {
   place::PresetKnobs knobs;
@@ -298,14 +300,21 @@ GoldenRow run_preset(const char* name, place::Preset preset,
 TEST(Golden, PlaceRunPresetsAtOneAndFourThreads) {
   const netlist::Design fresh = benchgen::generate(tiny_design_spec());
   const netlist::Design eco = eco_input();
-  expect_golden({
+  const std::vector<GoldenRow> observed = {
       run_preset("place.mcts.t1", place::Preset::kMcts, fresh, 1),
       run_preset("place.mcts.t4", place::Preset::kMcts, fresh, 4),
       run_preset("place.rl_only.t1", place::Preset::kRlOnly, fresh, 1),
       run_preset("place.rl_only.t4", place::Preset::kRlOnly, fresh, 4),
       run_preset("place.regulate.t1", place::Preset::kRegulate, eco, 1),
       run_preset("place.regulate.t4", place::Preset::kRegulate, eco, 4),
-  });
+  };
+  expect_golden(observed);
+  for (std::size_t i = 0; i < observed.size(); i += 2) {
+    EXPECT_EQ(observed[i].fingerprint, observed[i + 1].fingerprint)
+        << observed[i].name << " vs " << observed[i + 1].name;
+    EXPECT_EQ(observed[i].hpwl_bits, observed[i + 1].hpwl_bits)
+        << observed[i].name << " vs " << observed[i + 1].name;
+  }
 }
 
 TEST(Golden, BaselinePresetsAtFourThreads) {

@@ -460,42 +460,71 @@ TEST(ParMcts, BatchedSearchProducesCompleteAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// RL self-play: parallel windows deterministic across pool sizes
+// RL self-play: one windowed loop, deterministic across pool sizes
 // ---------------------------------------------------------------------------
 
-rl::TrainResult train_once(McstFixture& f, int threads) {
+/// Trains f's agent on `evaluator`, or on f's own evaluator when null.
+rl::TrainResult train_once(McstFixture& f, int threads,
+                           rl::AllocationEvaluator* evaluator = nullptr) {
   ThreadGuard guard(threads);
   rl::TrainOptions options;
   options.episodes = 8;
   options.update_window = 4;
   options.calibration_episodes = 5;
-  options.parallel_rollouts = true;
-  return rl::train_agent(*f.env, *f.evaluator, *f.agent, options);
+  return rl::train_agent(*f.env, evaluator ? *evaluator : *f.evaluator,
+                         *f.agent, options);
+}
+
+void expect_same_training(const rl::TrainResult& a, const rl::TrainResult& b) {
+  ASSERT_EQ(a.episodes.size(), b.episodes.size());
+  for (std::size_t i = 0; i < a.episodes.size(); ++i) {
+    EXPECT_EQ(a.episodes[i].wirelength, b.episodes[i].wirelength)
+        << "episode " << i;
+    EXPECT_EQ(a.episodes[i].reward, b.episodes[i].reward) << "episode " << i;
+  }
+  EXPECT_EQ(a.best_wirelength, b.best_wirelength);
+  EXPECT_EQ(a.optimizer_steps, b.optimizer_steps);
 }
 
 TEST(ParTrainer, ParallelSelfPlayIdenticalAcrossThreadCounts) {
+  // One thread runs the same windowed loop as a wide pool, on slot 0 alone.
+  McstFixture f1(86);
   McstFixture f2(86);
   McstFixture f8(86);
+  const rl::TrainResult r1 = train_once(f1, 1);
   const rl::TrainResult r2 = train_once(f2, 2);
   const rl::TrainResult r8 = train_once(f8, 8);
-  ASSERT_EQ(r2.episodes.size(), r8.episodes.size());
-  for (std::size_t i = 0; i < r2.episodes.size(); ++i) {
-    EXPECT_EQ(r2.episodes[i].wirelength, r8.episodes[i].wirelength)
-        << "episode " << i;
-    EXPECT_EQ(r2.episodes[i].reward, r8.episodes[i].reward) << "episode " << i;
-  }
-  EXPECT_EQ(r2.best_wirelength, r8.best_wirelength);
-  EXPECT_EQ(r2.optimizer_steps, r8.optimizer_steps);
+  EXPECT_EQ(r1.episodes.size(), 8u);
+  EXPECT_EQ(r1.optimizer_steps, 2);
+  EXPECT_TRUE(std::isfinite(r1.best_wirelength));
+  expect_same_training(r1, r2);
+  expect_same_training(r1, r8);
 }
 
-TEST(ParTrainer, SerialFallbackAtOneThread) {
-  // --threads 1 must take the classic serial loop (parallel_rollouts has no
-  // effect), still producing a complete training run.
-  McstFixture f(87);
-  const rl::TrainResult r = train_once(f, 1);
-  EXPECT_FALSE(r.episodes.empty());
-  EXPECT_GT(r.optimizer_steps, 0);
-  EXPECT_TRUE(std::isfinite(r.best_wirelength));
+/// Forwards to another evaluator and keeps the base class's clone(), which
+/// returns nullptr.
+class UnclonableEvaluator : public rl::AllocationEvaluator {
+ public:
+  explicit UnclonableEvaluator(rl::AllocationEvaluator& inner)
+      : inner_(inner) {}
+  double evaluate(const std::vector<grid::CellCoord>& anchors) override {
+    return inner_.evaluate(anchors);
+  }
+
+ private:
+  rl::AllocationEvaluator& inner_;
+};
+
+TEST(ParTrainer, UnclonableEvaluatorMatchesClonable) {
+  // An evaluator that cannot be cloned rolls out on slot 0 alone, at any
+  // pool width, and still trains exactly as a clonable one.
+  McstFixture clonable(88);
+  McstFixture unclonable(88);
+  UnclonableEvaluator forwarding(*unclonable.evaluator);
+  const rl::TrainResult a = train_once(clonable, 4);
+  const rl::TrainResult b = train_once(unclonable, 4, &forwarding);
+  EXPECT_EQ(a.episodes.size(), 8u);
+  expect_same_training(a, b);
 }
 
 }  // namespace

@@ -213,25 +213,23 @@ TEST(Regulate, CommittedAnchorsStayInsideTheTrustRegion) {
 // Determinism
 
 TEST(Regulate, BitIdenticalAcrossThreadCounts) {
-  // Pool sizes > 1, per the parallel self-play contract: the parameter
-  // trajectory (and so the whole flow) is identical at every pool size > 1;
-  // one thread is the documented serial trajectory (docs/PARALLELISM.md).
-  netlist::Design two = eco_input();
-  netlist::Design eight = two;
+  // The self-play trajectory, and so the whole flow, is the same at every
+  // pool size, one thread included (docs/PARALLELISM.md).
+  const netlist::Design input = eco_input();
   const place::PlacerSpec spec =
       place::spec_from_preset(place::Preset::kRegulate, fast_knobs());
-  double hpwl_two = 0.0;
-  double hpwl_eight = 0.0;
-  {
-    ThreadGuard guard(2);
-    hpwl_two = place::run(two, spec).hpwl;
+  const int threads[] = {1, 2, 8};
+  netlist::Design designs[] = {input, input, input};
+  double hpwls[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    ThreadGuard guard(threads[i]);
+    hpwls[i] = place::run(designs[i], spec).hpwl;
   }
-  {
-    ThreadGuard guard(8);
-    hpwl_eight = place::run(eight, spec).hpwl;
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(hpwls[0], hpwls[i]) << threads[i] << " threads";
+    EXPECT_TRUE(same_positions(positions(designs[0]), positions(designs[i])))
+        << threads[i] << " threads";
   }
-  EXPECT_EQ(hpwl_two, hpwl_eight);
-  EXPECT_TRUE(same_positions(positions(two), positions(eight)));
 }
 
 TEST(Regulate, BitIdenticalAcrossEvalBatchSizes) {

@@ -2,8 +2,9 @@
 // validation, the LRU artifact cache, thread-budget arbitration, scheduler
 // ordering/admission/cancel (including the multi-worker fairness and
 // shutdown-race contracts), the LocalService end-to-end determinism contract
-// (service job ≡ offline placer call, warm ≡ cold, N workers ≡ 1 worker),
-// cooperative cancellation, and the socket server/client round trip.
+// (service job ≡ offline placer call, warm ≡ cold, N workers ≡ 1 worker,
+// 1-thread lease ≡ 4-thread lease), cooperative cancellation, and the socket
+// server/client round trip.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -25,6 +28,7 @@
 #include "check/check.hpp"
 #include "netlist/validate.hpp"
 #include "obs/obs.hpp"
+#include "par/par.hpp"
 #include "place/placer.hpp"
 #include "svc/budget.hpp"
 #include "svc/cache.hpp"
@@ -673,6 +677,35 @@ TEST(LocalService, FourWorkersBitIdenticalToOneWorkerAndOffline) {
     place::run(design, place::spec_from_preset(specs[i].preset, knobs));
     EXPECT_EQ(placement_fingerprint(design), wide[i]) << "seed " << (i + 1);
   }
+}
+
+TEST(LocalService, LeaseWidthDoesNotChangePlacement) {
+  // A job leased one thread (as under load) places exactly as the same job
+  // leased four: self-play runs one windowed loop at every pool size.
+  struct ThreadGuard {
+    int saved = par::num_threads();
+    ThreadGuard() { par::set_num_threads(4); }
+    ~ThreadGuard() { par::set_num_threads(saved); }
+  } guard;
+  ServiceOptions options = quiet_options();
+  options.workers = 1;
+  LocalService service(options);
+  std::vector<JobSnapshot> snaps;
+  for (const int threads : {1, 4}) {
+    JobSpec spec = tiny_synthetic_spec();
+    spec.preset = FlowPreset::kRlOnly;
+    spec.threads = threads;
+    const std::string id = service.submit(spec).id;
+    ASSERT_TRUE(service.wait(id, 600.0)) << id;
+    const auto snap = service.status(id);
+    ASSERT_TRUE(snap.has_value());
+    ASSERT_EQ(snap->state, JobState::kDone) << snap->error;
+    EXPECT_EQ(snap->granted_threads, threads);
+    snaps.push_back(*snap);
+  }
+  EXPECT_EQ(snaps[0].outcome.placement_hash, snaps[1].outcome.placement_hash);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(snaps[0].outcome.hpwl),
+            std::bit_cast<std::uint64_t>(snaps[1].outcome.hpwl));
 }
 
 TEST(LocalService, FourWorkerMixedPresetStressWithMidRunCancels) {
